@@ -45,9 +45,13 @@ type Entry struct {
 // BenchmarkDecideTelemetryDisabled-8  9416926  120.7 ns/op  0 B/op  0 allocs/op
 // The name is kept verbatim (including any -GOMAXPROCS suffix):
 // sub-benchmark names like cap-256 are indistinguishable from the
-// suffix syntactically, and stripping would collide them.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ B/op\s+(\d+) allocs/op)?`)
+// suffix syntactically, and stripping would collide them. Metrics a
+// benchmark reports itself (b.ReportMetric) print between ns/op and
+// B/op, so allocs/op is found by allocsField wherever it sits.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op`)
+	allocsField = regexp.MustCompile(`\s(\d+) allocs/op`)
+)
 
 func main() {
 	os.Exit(run())
@@ -140,8 +144,8 @@ func parse(r io.Reader) (map[string]Entry, error) {
 			return nil, fmt.Errorf("malformed ns/op in %q: %v", line, err)
 		}
 		var allocs int64
-		if m[3] != "" {
-			if allocs, err = strconv.ParseInt(m[3], 10, 64); err != nil {
+		if a := allocsField.FindStringSubmatch(line); a != nil {
+			if allocs, err = strconv.ParseInt(a[1], 10, 64); err != nil {
 				return nil, fmt.Errorf("malformed allocs/op in %q: %v", line, err)
 			}
 		}

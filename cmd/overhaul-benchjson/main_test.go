@@ -71,6 +71,19 @@ PASS
 	}
 }
 
+func TestParseAllocsAfterCustomMetric(t *testing.T) {
+	// b.ReportMetric values print between ns/op and B/op; the row's
+	// allocs/op must still be recorded, or its alloc gate is blind.
+	entries, err := parse(strings.NewReader(
+		"BenchmarkStoreOpen/1000-2  20  614170 ns/op  201.4 heapB/record  806060 B/op  3245 allocs/op\n"))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if e := entries["BenchmarkStoreOpen/1000-2"]; e.NsPerOp != 614170 || e.AllocsPerOp != 3245 {
+		t.Fatalf("entry = %+v, want 614170 ns/op, 3245 allocs/op", e)
+	}
+}
+
 func TestParseKeepsLoneSuffixVerbatim(t *testing.T) {
 	// Without the bare sibling, -8 is indistinguishable from a
 	// sub-benchmark name and must not be rewritten.

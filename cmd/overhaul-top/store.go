@@ -78,9 +78,6 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 	if rec.LastSeq > 0 {
 		fmt.Printf(", last seq %d", rec.LastSeq)
 	}
-	if rec.SegmentsV1 > 0 {
-		fmt.Printf(", %d v1 + %d v2 segments", rec.SegmentsV1, rec.SegmentsV2)
-	}
 	fmt.Print(") ==\n")
 	if !rec.Clean {
 		fmt.Printf("recovery: truncated at %s:%d (%s); dropped %d records, %d bytes\n",
@@ -139,8 +136,8 @@ func runColdQuery(dir string, q storeQuery, jsonOut bool) int {
 		return 0
 	}
 
-	fmt.Printf("== store %s (cold: %d segments = %d v1 + %d v2, %d skipped, %d seeked) ==\n",
-		dir, stats.Segments, stats.SegmentsV1, stats.SegmentsV2, stats.SkippedSegments, stats.SeekedSegments)
+	fmt.Printf("== store %s (cold: %d segments, %d skipped, %d seeked) ==\n",
+		dir, stats.Segments, stats.SkippedSegments, stats.SeekedSegments)
 	if stats.Truncated {
 		fmt.Printf("truncated: %s (%s)\n", stats.TruncatedFile, stats.Reason)
 	}

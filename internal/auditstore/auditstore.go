@@ -11,7 +11,7 @@
 //   - MemStore — an indexed in-memory store ordered by sequence number
 //     with secondary pid/verdict/time indexes. Cheap, volatile, and
 //     the query engine the durable backend reuses.
-//   - FileStore — append-only JSONL segments with length+CRC framing,
+//   - FileStore — append-only binary segments with length+CRC framing,
 //     segment rotation, and compaction of sealed segments. Recovery is
 //     fail-closed in the repository's established sense: Open always
 //     replays to a consistent, CRC-verified prefix of the pre-crash

@@ -1,9 +1,15 @@
 package auditstore_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,16 +82,16 @@ func checkPrefix(t *testing.T, st auditstore.Store, n int) {
 		}
 		want := mkRecord(i)
 		want.Seq = uint64(i + 1)
-		gotLine, err := auditstore.EncodeRecord(got)
+		gotFrame, err := auditstore.EncodeBinaryRecord(got)
 		if err != nil {
 			t.Fatalf("encode got %d: %v", i+1, err)
 		}
-		wantLine, err := auditstore.EncodeRecord(want)
+		wantFrame, err := auditstore.EncodeBinaryRecord(want)
 		if err != nil {
 			t.Fatalf("encode want %d: %v", i+1, err)
 		}
-		if string(gotLine) != string(wantLine) {
-			t.Fatalf("record %d diverged:\n got %s\nwant %s", i+1, gotLine, wantLine)
+		if string(gotFrame) != string(wantFrame) {
+			t.Fatalf("record %d diverged:\n got %+v\nwant %+v", i+1, got, want)
 		}
 	}
 }
@@ -179,6 +185,36 @@ func TestQueryFilters(t *testing.T) {
 	}
 	if got := scan(auditstore.Query{Since: since, Until: until}); len(got) != 20 {
 		t.Fatalf("since+until = %d records, want 20", len(got))
+	}
+	// Until windows at the start, middle and end of the stream, alone
+	// and over the posting lists, against a brute-force filter.
+	for _, q := range []auditstore.Query{
+		{Until: testBase.Add(300 * time.Millisecond)},
+		{Since: testBase.Add(1 * time.Second), Until: testBase.Add(1500 * time.Millisecond)},
+		{Since: testBase.Add(2800 * time.Millisecond), Until: testBase.Add(time.Hour)},
+		{Until: testBase.Add(1 * time.Second), PID: 103},
+		{Since: testBase.Add(500 * time.Millisecond), Until: testBase.Add(2 * time.Second), Verdict: "deny"},
+		{Since: testBase.Add(500 * time.Millisecond), Until: testBase.Add(2 * time.Second), PID: 100, Verdict: "deny"},
+		{Until: testBase.Add(2 * time.Second), Reason: "recent", Limit: 3},
+		{Since: testBase.Add(2 * time.Second), Until: testBase.Add(1 * time.Second)},
+	} {
+		var want []uint64
+		for i := 0; i < 60; i++ {
+			r := mkRecord(i)
+			r.Seq = uint64(i + 1)
+			if q.Matches(r) && (q.Limit == 0 || len(want) < q.Limit) {
+				want = append(want, r.Seq)
+			}
+		}
+		got := scan(q)
+		if len(got) != len(want) {
+			t.Fatalf("window %+v: %d records, want %d", q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Seq != want[i] {
+				t.Fatalf("window %+v: record %d seq %d, want %d", q, i, got[i].Seq, want[i])
+			}
+		}
 	}
 
 	if got := scan(auditstore.Query{Session: 2}); len(got) != 15 {
@@ -468,5 +504,258 @@ func TestTailSyncAndRebind(t *testing.T) {
 	dstream = decisionStream(25)
 	if n, err := tail.Sync(dstream); err != nil || n != 5 {
 		t.Fatalf("post-reset sync: n=%d err=%v, want 5", n, err)
+	}
+}
+
+// TestOpenAllocsScale pins cold Open's allocation count to the shape
+// of the directory, not the length of its history: opening ten times
+// the records (same pid and reason cardinality) may not even double
+// the allocations. Decoding each record into its own heap objects
+// would make the ratio about 10.
+func TestOpenAllocsScale(t *testing.T) {
+	allocs := func(n int) float64 {
+		dir := t.TempDir()
+		writeHistory(t, dir, n)
+		return testing.AllocsPerRun(2, func() {
+			if err := openHistory(t, dir, n).Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	if large >= 2*small {
+		t.Fatalf("Open allocations: %.0f for 100k records, %.0f for 10k; want under 2x", large, small)
+	}
+}
+
+// TestOpenLyingFooter pins that a sealed footer's record count is only
+// a capacity hint: a CRC-valid footer that claims 2^40 records over
+// three real frames, or one that holds no entries at all, neither
+// forces a huge allocation nor changes what is recovered.
+func TestOpenLyingFooter(t *testing.T) {
+	frames := auditstore.BinarySegmentMagic()
+	for i := 0; i < 3; i++ {
+		r := mkRecord(i)
+		r.Seq = uint64(i + 1)
+		frame, err := auditstore.EncodeBinaryRecord(r)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		frames = append(frames, frame...)
+	}
+	// Footer body: entry count, then seq/offset/maxBefore per entry.
+	inflated := binary.AppendUvarint(nil, 2)
+	inflated = binary.AppendUvarint(inflated, 1)
+	inflated = binary.AppendUvarint(inflated, 8)
+	inflated = binary.AppendVarint(inflated, math.MinInt64)
+	inflated = binary.AppendUvarint(inflated, 1<<40) // the sentinel lies
+	inflated = binary.AppendUvarint(inflated, uint64(len(frames)))
+	inflated = binary.AppendVarint(inflated, mkRecord(2).Time.UnixNano())
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"inflated", inflated},
+		{"empty", binary.AppendUvarint(nil, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Footer: marker, body, body CRC, body length, magic.
+			seg := append(append([]byte(nil), frames...), 0)
+			seg = append(seg, tc.body...)
+			seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(tc.body))
+			seg = binary.LittleEndian.AppendUint32(seg, uint32(len(tc.body)))
+			seg = append(seg, "IDX2"...)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "seg-00000001.seg"), seg, 0o600); err != nil {
+				t.Fatalf("write segment: %v", err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st := openHistory(t, dir, 3)
+			runtime.ReadMemStats(&after)
+			defer st.Close() //overhaul:allow errdrop test cleanup
+			if sealed, active := st.SegmentCount(); sealed != 1 || active != 0 {
+				t.Fatalf("segments = %d sealed, %d active; the footer did not parse", sealed, active)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("Open allocated %d bytes for a 3-record segment", got)
+			}
+			checkPrefix(t, st, 3)
+		})
+	}
+}
+
+// TestOpenRejectsV1Segments pins that a directory still holding a v1
+// JSONL segment fails to open, and to cold-scan, naming the file:
+// its records can no longer be decoded, and skipping it would report
+// a clean store with that history missing.
+func TestOpenRejectsV1Segments(t *testing.T) {
+	dir := t.TempDir()
+	st, err := auditstore.Open(dir, auditstore.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fillStore(t, st, 5)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	const v1 = "seg-00000000.jsonl"
+	line := `{"seq":1,"time":"2026-01-01T00:00:00Z","session":1,"pid":1,"op":"open","verdict":"grant"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, v1), []byte(line), 0o600); err != nil {
+		t.Fatalf("write v1 segment: %v", err)
+	}
+	if st, err := auditstore.Open(dir, auditstore.Options{}); err == nil || !strings.Contains(err.Error(), v1) {
+		if err == nil {
+			st.Close() //overhaul:allow errdrop test cleanup
+		}
+		t.Fatalf("Open = %v, want an error naming %s", err, v1)
+	}
+	if _, err := auditstore.ScanSegments(dir, auditstore.Query{}, func(auditstore.Record) bool { return true }); err == nil || !strings.Contains(err.Error(), v1) {
+		t.Fatalf("ScanSegments = %v, want an error naming %s", err, v1)
+	}
+	if _, err := auditstore.SegmentsNewest(dir); err == nil || !strings.Contains(err.Error(), v1) {
+		t.Fatalf("SegmentsNewest = %v, want an error naming %s", err, v1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, v1)); err != nil {
+		t.Fatalf("v1 segment touched: %v", err)
+	}
+}
+
+// TestRecoveryReportsDamage pins the whole Recovery report for damage
+// in the middle of the stream: a missing segment (a sequence gap) and
+// a bit-flipped frame in a sealed segment that is not the newest. The
+// consistent prefix, the first bad byte, the reason and the dropped
+// records and bytes are all exact.
+func TestRecoveryReportsDamage(t *testing.T) {
+	// frameLen is the encoded size of record i of the mkRecord stream.
+	frameLen := func(i int) int {
+		r := mkRecord(i)
+		r.Seq = uint64(i + 1)
+		frame, err := auditstore.EncodeBinaryRecord(r)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return len(frame)
+	}
+	magic := len(auditstore.BinarySegmentMagic())
+	// Five 8-record segments: seg-1 holds seqs 1-8, seg-2 9-16, ...,
+	// seg-5 (the active one) 33-40.
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: -1})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		fillStore(t, st, 40)
+		if err := st.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		return dir
+	}
+	reopen := func(t *testing.T, dir string, n int) auditstore.Recovery {
+		st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: -1})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer st.Close() //overhaul:allow errdrop test cleanup
+		checkPrefix(t, st, n)
+		return st.Recovery()
+	}
+
+	t.Run("gap", func(t *testing.T) {
+		dir := build(t)
+		if err := os.Remove(filepath.Join(dir, "seg-00000002.seg")); err != nil {
+			t.Fatalf("remove: %v", err)
+		}
+		got := reopen(t, dir, 8)
+		want := auditstore.Recovery{
+			Segments: 4, Records: 8, LastSeq: 8, Truncated: true,
+			TruncatedFile: "seg-00000003.seg", TruncatedOffset: magic,
+			Reason:         "sequence gap: have 8, next record is 17",
+			DroppedRecords: 24,
+		}
+		checkRecovery(t, got, want)
+	})
+
+	t.Run("bad-frame", func(t *testing.T) {
+		dir := build(t)
+		path := filepath.Join(dir, "seg-00000002.seg")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		off := magic + frameLen(8) + frameLen(9) // the third frame, seq 11
+		data[off+3] ^= 0x40
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got := reopen(t, dir, 10)
+		want := auditstore.Recovery{
+			Segments: 5, Records: 10, LastSeq: 10, Truncated: true,
+			TruncatedFile: "seg-00000002.seg", TruncatedOffset: off,
+			Reason:         "crc mismatch",
+			DroppedRecords: 24,
+			DroppedBytes:   len(data) - off,
+		}
+		checkRecovery(t, got, want)
+	})
+}
+
+// checkRecovery compares a Recovery report against want, ignoring the
+// list of files normalization rewrote away.
+func checkRecovery(t *testing.T, got, want auditstore.Recovery) {
+	t.Helper()
+	got.RemovedFiles = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovery:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReopenedActiveSegmentIndex pins the block index recovery rebuilds
+// for an adopted active segment: once appends after the reopen seal
+// that segment, its footer must seek every Since bound correctly.
+func TestReopenedActiveSegmentIndex(t *testing.T) {
+	dir := t.TempDir()
+	opts := auditstore.Options{SegmentRecords: 200, CompactSealed: -1}
+	st, err := auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fillStore(t, st, 150) // one active segment, indexed every 32 records
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st, err = auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	for i := 150; i < 260; i++ { // seals the reopened segment at 200
+		if _, err := st.Append(mkRecord(i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if sealed, _ := st.SegmentCount(); sealed != 1 {
+		t.Fatalf("sealed segments = %d, want 1", sealed)
+	}
+	for i := 0; i < 200; i += 7 {
+		q := auditstore.Query{Since: mkRecord(i).Time}
+		var cold int
+		stats, err := auditstore.ScanSegments(dir, q, func(auditstore.Record) bool {
+			cold++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("cold scan: %v", err)
+		}
+		if i >= 32 && stats.SeekedSegments == 0 {
+			t.Fatalf("since record %d: footer not used to seek (%+v)", i, stats)
+		}
+		if want := 260 - i; cold != want {
+			t.Fatalf("since record %d: cold scan %d records, want %d", i, cold, want)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }

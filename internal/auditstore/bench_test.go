@@ -107,35 +107,42 @@ func BenchmarkStoreEncodeV2(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreScanSince measures a time-bounded tail query — the
-// "what happened in the last minute" shape. The since bound lands 90%
-// into the stream, so a seek (binary search on the time-ordered index)
-// touches ~10% of the records a full pass would.
+// BenchmarkStoreScanSince measures time-bounded queries. The tail
+// row is the "what happened in the last minute" shape: the since bound
+// lands 90% into the stream, so a seek (binary search on the
+// time-ordered index) touches ~10% of the records a full pass would.
+// The window row is a forensic Since/Until window over 1% of the
+// stream (at least one record) in its middle: both ends are seeks, so
+// it touches only the window.
 func BenchmarkStoreScanSince(b *testing.B) {
 	for _, backend := range []string{"mem", "jsonl"} {
 		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				q := auditstore.Query{
-					Since:   mkRecord(n * 9 / 10).Time,
-					Verdict: "deny",
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					matched := 0
-					err := st.Scan(q, func(auditstore.Record) bool {
-						matched++
-						return true
-					})
-					if err != nil || matched == 0 {
-						b.Fatalf("scan since: matched=%d err=%v", matched, err)
-					}
-				}
-			})
+			tail := auditstore.Query{Since: mkRecord(n * 9 / 10).Time, Verdict: "deny"}
+			benchScan(b, fmt.Sprintf("%s/%d", backend, n), backend, n, tail)
+			window := auditstore.Query{Since: mkRecord(n / 2).Time, Until: mkRecord(n/2 + max(1, n/100)).Time}
+			benchScan(b, fmt.Sprintf("%s/%d/window", backend, n), backend, n, window)
 		}
 	}
+}
+
+// benchScan runs one Scan sub-benchmark of q over a prefilled store.
+func benchScan(b *testing.B, name, backend string, n int, q auditstore.Query) {
+	b.Run(name, func(b *testing.B) {
+		st := benchStore(b, backend, n)
+		defer st.Close() //overhaul:allow errdrop bench cleanup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			matched := 0
+			err := st.Scan(q, func(auditstore.Record) bool {
+				matched++
+				return true
+			})
+			if err != nil || matched == 0 {
+				b.Fatalf("scan %+v: matched=%d err=%v", q, matched, err)
+			}
+		}
+	})
 }
 
 func BenchmarkStoreScan(b *testing.B) {
@@ -145,22 +152,77 @@ func BenchmarkStoreScan(b *testing.B) {
 	q := auditstore.Query{Verdict: "deny", Reason: "recent"}
 	for _, backend := range []string{"mem", "jsonl"} {
 		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					matched := 0
-					err := st.Scan(q, func(auditstore.Record) bool {
-						matched++
-						return true
-					})
-					if err != nil || matched == 0 {
-						b.Fatalf("scan: matched=%d err=%v", matched, err)
-					}
-				}
-			})
+			benchScan(b, fmt.Sprintf("%s/%d", backend, n), backend, n, q)
 		}
+	}
+}
+
+// writeHistory fills dir with records 0..n-1 of the mkRecord stream,
+// written through AppendBatch in 256-record batches with default
+// options — the shape of a long-lived store.
+func writeHistory(tb testing.TB, dir string, n int) {
+	tb.Helper()
+	st, err := auditstore.Open(dir, auditstore.Options{})
+	if err != nil {
+		tb.Fatalf("open: %v", err)
+	}
+	batch := make([]auditstore.Record, 0, 256)
+	for i := 0; i < n; i++ {
+		batch = append(batch, mkRecord(i))
+		if len(batch) == cap(batch) || i == n-1 {
+			if _, err := st.AppendBatch(batch); err != nil {
+				tb.Fatalf("append batch at %d: %v", i, err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatalf("close: %v", err)
+	}
+}
+
+// openHistory cold-opens dir and checks it recovered n records cleanly.
+func openHistory(tb testing.TB, dir string, n int) *auditstore.FileStore {
+	tb.Helper()
+	st, err := auditstore.Open(dir, auditstore.Options{})
+	if err != nil {
+		tb.Fatalf("open: %v", err)
+	}
+	if rec := st.Recovery(); !rec.Clean || rec.Records != n {
+		tb.Fatalf("recovery = %+v, want %d records, clean", rec, n)
+	}
+	return st
+}
+
+// BenchmarkStoreOpen measures a cold Open (directory scan, recovery,
+// index build) per history size, and reports the heap the opened store
+// keeps per record. Each Open starts from a collected heap: os.ReadDir
+// draws its buffer from a sync.Pool that a GC empties, so without the
+// collection allocs/op would vary with where the previous iteration's
+// GC cycles fell (by up to 4 per Open).
+func BenchmarkStoreOpen(b *testing.B) {
+	for _, n := range [...]int{1000, 10000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			dir := b.TempDir()
+			writeHistory(b, dir, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC() // the second pass clears the pools' victim caches
+				b.StartTimer()
+				openHistory(b, dir, n).Close() //overhaul:allow errdrop bench cleanup
+			}
+			b.StopTimer()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			st := openHistory(b, dir, n)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "heapB/record")
+			st.Close() //overhaul:allow errdrop bench cleanup
+		})
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Binary segment format v2. Files are named seg-<8 hex id>.seg and
-// carry the same record stream as the v1 JSONL segments, framed for
-// the append hot path instead of for greppability:
+// Binary segment format v2, the store's only on-disk format. Files are
+// named seg-<8 hex id>.seg and carry the record stream framed for the
+// append hot path:
 //
 //	header:  8 bytes magic "OVHSEG2\n"
 //	frame:   uvarint payload length | payload | 4-byte LE CRC-32 (IEEE)
@@ -22,7 +22,7 @@ import (
 // lets a reader locate the index from the end of the file without
 // decoding records. The footer is written only when a segment is
 // sealed — an active segment is a pure frame stream whose tail may be
-// torn, exactly like v1.
+// torn.
 //
 // The index body is a sparse block index: uvarint entry count, then
 // per entry (uvarint first sequence, uvarint byte offset of the
@@ -49,7 +49,24 @@ const (
 	// indexEvery is the block-index granularity: one entry per this
 	// many records.
 	indexEvery = 32
+	// minFrameLen is the smallest possible frame: a one-byte length,
+	// a seven-byte payload (one byte each for seq, flags, session and
+	// pid, plus three empty strings) and the CRC. It turns a file size
+	// into an upper bound on the records the file can hold.
+	minFrameLen = 1 + 7 + crcLen
+	// MaxPayload bounds one record's payload. A length field above it
+	// is treated as corruption, not an allocation request.
+	MaxPayload = 1 << 20
 )
+
+// Truncation describes where and why a segment decode stopped before
+// the end of its input: the exact truncation point recovery reports.
+type Truncation struct {
+	// Offset is the byte offset of the first undecodable frame.
+	Offset int
+	// Reason says what failed there.
+	Reason string
+}
 
 // Record payload flag bits.
 const (
@@ -69,8 +86,7 @@ type blockEntry struct {
 
 // timeNanos converts a record time for the binary codec. The zero time
 // is carried as an absent field; times outside the int64-nanoseconds
-// range (roughly years 1678–2261) do not round-trip and are rejected,
-// the binary analogue of the v1 MaxPayload bound.
+// range (roughly years 1678–2261) do not round-trip and are rejected.
 func timeNanos(t time.Time) (int64, bool, error) {
 	if t.IsZero() {
 		return 0, false, nil
@@ -114,6 +130,9 @@ func appendRecordPayload(dst []byte, r *Record) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("auditstore: encode seq %d: %w", r.Seq, err)
 	}
+	if r.PID < math.MinInt32 || r.PID > math.MaxInt32 {
+		return dst, fmt.Errorf("auditstore: encode seq %d: pid %d outside binary codec range", r.Seq, r.PID)
+	}
 	dst = binary.AppendUvarint(dst, r.Seq)
 	var flags byte
 	if r.Degraded {
@@ -145,10 +164,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeRecordPayload parses one v2 record payload into r. It never
-// panics on arbitrary input and rejects trailing garbage, so a frame
-// whose CRC matches still cannot smuggle undecodable bytes.
-func decodeRecordPayload(p []byte, r *Record) error {
+// decodeRecordPayload parses one v2 record payload into r, taking its
+// strings from tab. It never panics on arbitrary input and rejects
+// trailing garbage, so a frame whose CRC matches still cannot smuggle
+// undecodable bytes.
+func decodeRecordPayload(p []byte, r *Record, tab *internTable) error {
 	seq, n := binary.Uvarint(p)
 	if n <= 0 {
 		return fmt.Errorf("auditstore: payload: bad seq varint")
@@ -192,13 +212,13 @@ func decodeRecordPayload(p []byte, r *Record) error {
 	p = p[n:]
 	r.PID = int(pid)
 	var err error
-	if r.Op, p, err = decodeString(p); err != nil {
+	if r.Op, p, err = decodeString(p, tab); err != nil {
 		return fmt.Errorf("auditstore: payload: op: %w", err)
 	}
-	if r.Verdict, p, err = decodeString(p); err != nil {
+	if r.Verdict, p, err = decodeString(p, tab); err != nil {
 		return fmt.Errorf("auditstore: payload: verdict: %w", err)
 	}
-	if r.Reason, p, err = decodeString(p); err != nil {
+	if r.Reason, p, err = decodeString(p, tab); err != nil {
 		return fmt.Errorf("auditstore: payload: reason: %w", err)
 	}
 	if len(p) != 0 {
@@ -208,12 +228,54 @@ func decodeRecordPayload(p []byte, r *Record) error {
 }
 
 // decodeString parses a length-prefixed string and returns the rest.
-func decodeString(p []byte) (string, []byte, error) {
+func decodeString(p []byte, tab *internTable) (string, []byte, error) {
 	l, n := binary.Uvarint(p)
 	if n <= 0 || l > uint64(len(p)-n) {
 		return "", nil, fmt.Errorf("bad string length")
 	}
-	return string(p[n : n+int(l)]), p[n+int(l):], nil
+	return tab.str(p[n : n+int(l)]), p[n+int(l):], nil
+}
+
+// internTable hands out one shared copy of each op, verdict and reason
+// string a decode pass meets. An audit trail draws those fields from a
+// handful of values, so a recovered index holds each once instead of
+// three fresh strings per record, and the Iterator's reason memo, which
+// relies on equal reasons sharing their bytes, answers in O(1). A small
+// direct-mapped cache keyed on length and edge bytes answers most
+// lookups without hashing; the map behind it admits at most
+// maxInterned strings, so a trail whose reasons never repeat costs no
+// more than copying them. A nil table copies every string.
+type internTable struct {
+	recent [64]string
+	all    map[string]string
+}
+
+const maxInterned = 1 << 12
+
+// str returns b as a string, shared with earlier equal strings.
+func (t *internTable) str(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	h := 0
+	if len(b) > 0 {
+		h = (len(b)*7 + int(b[0]) + int(b[len(b)-1])) % len(t.recent)
+	}
+	if s := t.recent[h]; s == string(b) {
+		return s
+	}
+	s, ok := t.all[string(b)]
+	if !ok {
+		s = string(b)
+		if t.all == nil {
+			t.all = make(map[string]string)
+		}
+		if len(t.all) < maxInterned {
+			t.all[s] = s
+		}
+	}
+	t.recent[h] = s
+	return s
 }
 
 // appendFooter appends the sealed-segment footer (marker, index body,
@@ -324,41 +386,36 @@ func BinarySegmentMagic() []byte {
 
 // DecodeBinarySegment decodes a v2 segment until the input is
 // exhausted, the footer marker is reached, or a frame fails a check.
-// Mirrors DecodeSegment: it returns the decoded records, the bytes
-// consumed by them (header included), and the truncation point when
-// the input did not decode cleanly. It never panics on arbitrary
-// input (FuzzBinarySegmentDecode pins this).
+// It returns the decoded records, the bytes consumed by them (header
+// included), and the truncation point when the input did not decode
+// cleanly. It never panics on arbitrary input (FuzzBinarySegmentDecode
+// pins this).
 func DecodeBinarySegment(data []byte) ([]Record, int, *Truncation) {
-	recs, _, n, trunc := decodeBinarySegmentOffsets(data, nil)
-	return recs, n, trunc
-}
-
-// decodeBinarySegmentOffsets is DecodeBinarySegment plus the byte
-// offset of every decoded record. offs may be nil when the caller does
-// not need offsets; otherwise it is appended to and returned.
-func decodeBinarySegmentOffsets(data []byte, offs []int) ([]Record, []int, int, *Truncation) {
-	if len(data) < len(segMagicV2) || string(data[:len(segMagicV2)]) != segMagicV2 {
-		return nil, offs, 0, &Truncation{Offset: 0, Reason: "bad v2 segment header"}
-	}
 	var recs []Record
-	end, trunc := streamFrames(data, len(segMagicV2), func(r *Record, off int) bool {
+	end, trunc := streamSegment(data, nil, func(r *Record, _ int) bool {
 		recs = append(recs, *r)
-		if offs != nil {
-			offs = append(offs, off)
-		}
 		return true
 	})
-	return recs, offs, end, trunc
+	return recs, end, trunc
+}
+
+// streamSegment checks a v2 segment's header and streams its frames
+// through streamFrames.
+func streamSegment(data []byte, tab *internTable, emit func(r *Record, off int) bool) (int, *Truncation) {
+	if len(data) < len(segMagicV2) || string(data[:len(segMagicV2)]) != segMagicV2 {
+		return 0, &Truncation{Offset: 0, Reason: "bad v2 segment header"}
+	}
+	return streamFrames(data, len(segMagicV2), tab, emit)
 }
 
 // streamFrames walks the frame stream of a v2 segment starting at byte
 // offset off (the caller has already checked the header), handing each
-// decoded record to emit by pointer into one reusable Record — the
-// zero-copy core under both the batch decoder and the cold segment
-// scanner. It returns the bytes cleanly consumed and the truncation
-// point, if any; emit returning false stops the walk early with no
-// truncation.
-func streamFrames(data []byte, off int, emit func(r *Record, off int) bool) (int, *Truncation) {
+// CRC-checked, decoded record to emit by pointer into one reusable
+// Record — the zero-copy core under recovery, the batch decoder and
+// the cold segment scanner. Strings come from tab (nil copies each).
+// It returns the bytes cleanly consumed and the truncation point, if
+// any; emit returning false stops the walk early with no truncation.
+func streamFrames(data []byte, off int, tab *internTable, emit func(r *Record, off int) bool) (int, *Truncation) {
 	var r Record
 	for off < len(data) {
 		if data[off] == idxMarker {
@@ -386,7 +443,7 @@ func streamFrames(data []byte, off int, emit func(r *Record, off int) bool) (int
 		if crc32.ChecksumIEEE(payload) != crc {
 			return off, &Truncation{Offset: off, Reason: "crc mismatch"}
 		}
-		if err := decodeRecordPayload(payload, &r); err != nil {
+		if err := decodeRecordPayload(payload, &r, tab); err != nil {
 			return off, &Truncation{Offset: off, Reason: "malformed record payload"}
 		}
 		if !emit(&r, off) {

@@ -21,11 +21,8 @@ import (
 
 // ColdStats reports what a ScanSegments pass did.
 type ColdStats struct {
-	// Segments is the number of segment files seen; SegmentsV1 and
-	// SegmentsV2 split them by format.
-	Segments   int `json:"segments"`
-	SegmentsV1 int `json:"segments_v1"`
-	SegmentsV2 int `json:"segments_v2"`
+	// Segments is the number of segment files seen.
+	Segments int `json:"segments"`
 	// SkippedSegments counts segments pruned whole by their footer's
 	// time bound; SeekedSegments counts segments entered mid-stream
 	// through the block index.
@@ -46,11 +43,10 @@ type ColdStats struct {
 type coldSeg struct {
 	name string
 	id   uint64
-	v1   bool
 
-	data    []byte       // raw v2 bytes, kept when the footer lets us stream
+	data    []byte       // raw bytes, kept when the footer lets us stream
 	entries []blockEntry // intact footer index, nil otherwise
-	recs    []Record     // eagerly decoded records (v1, or v2 without footer)
+	recs    []Record     // eagerly decoded records (segments without footer)
 	trunc   *Truncation
 
 	first, last uint64 // sequence range (valid when count > 0)
@@ -61,13 +57,13 @@ type coldSeg struct {
 // loadColdSeg reads one segment file and extracts merge metadata as
 // cheaply as the format allows: a sealed v2 segment yields its range
 // and time bound from the footer alone; everything else is decoded.
-func loadColdSeg(path string, id uint64, v1 bool) (coldSeg, error) {
-	s := coldSeg{name: filepath.Base(path), id: id, v1: v1, maxT: math.MinInt64}
+func loadColdSeg(path string, id uint64) (coldSeg, error) {
+	s := coldSeg{name: filepath.Base(path), id: id, maxT: math.MinInt64}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return s, err
 	}
-	if !v1 && len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
+	if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
 		if entries := parseFooter(data); len(entries) >= 2 {
 			// Sentinel entry: seq is one past the last record, maxBefore
 			// is the whole-segment prefix maximum. Intra-segment
@@ -83,11 +79,7 @@ func loadColdSeg(path string, id uint64, v1 bool) (coldSeg, error) {
 			return s, nil
 		}
 	}
-	if v1 {
-		s.recs, _, s.trunc = DecodeSegment(data)
-	} else {
-		s.recs, _, s.trunc = DecodeBinarySegment(data)
-	}
+	s.recs, _, s.trunc = DecodeBinarySegment(data)
 	if n := len(s.recs); n > 0 {
 		s.first, s.last, s.count = s.recs[0].Seq, s.recs[n-1].Seq, n
 		for i := range s.recs {
@@ -114,20 +106,18 @@ func ScanSegments(dir string, q Query, yield func(Record) bool) (ColdStats, erro
 	}
 	var segs []coldSeg
 	for _, de := range names {
-		id, v1, ok := parseSegID(de.Name())
+		if err := checkV1Segment(dir, de.Name()); err != nil {
+			return stats, err
+		}
+		id, ok := parseSegID(de.Name())
 		if !ok {
 			continue
 		}
-		s, err := loadColdSeg(filepath.Join(dir, de.Name()), id, v1)
+		s, err := loadColdSeg(filepath.Join(dir, de.Name()), id)
 		if err != nil {
 			return stats, fmt.Errorf("auditstore: cold scan: %w", err)
 		}
 		stats.Segments++
-		if v1 {
-			stats.SegmentsV1++
-		} else {
-			stats.SegmentsV2++
-		}
 		if s.count > 0 || s.trunc != nil {
 			segs = append(segs, s)
 		}
@@ -137,10 +127,7 @@ func ScanSegments(dir string, q Query, yield func(Record) bool) (ColdStats, erro
 		if a.first != b.first {
 			return a.first < b.first
 		}
-		if a.id != b.id {
-			return a.id < b.id
-		}
-		return a.v1 && !b.v1
+		return a.id < b.id
 	})
 
 	sinceN, sinceSet, err := timeNanos(q.Since)
@@ -226,7 +213,7 @@ func ScanSegments(dir string, q Query, yield func(Record) bool) (ColdStats, erro
 					}
 				}
 			}
-			_, trunc := streamFrames(s.data, start, func(r *Record, _ int) bool {
+			_, trunc := streamFrames(s.data, start, nil, func(r *Record, _ int) bool {
 				return emit(r)
 			})
 			if trunc != nil {
@@ -269,11 +256,14 @@ func SegmentsNewest(dir string) (time.Time, error) {
 	}
 	newest := int64(math.MinInt64)
 	for _, de := range names {
-		id, v1, ok := parseSegID(de.Name())
+		if err := checkV1Segment(dir, de.Name()); err != nil {
+			return time.Time{}, err
+		}
+		id, ok := parseSegID(de.Name())
 		if !ok {
 			continue
 		}
-		s, err := loadColdSeg(filepath.Join(dir, de.Name()), id, v1)
+		s, err := loadColdSeg(filepath.Join(dir, de.Name()), id)
 		if err != nil {
 			return time.Time{}, fmt.Errorf("auditstore: cold scan: %w", err)
 		}

@@ -69,6 +69,10 @@ func TestBackendEquivalence(t *testing.T) {
 		{Since: testBase.Add(20 * time.Second)},
 		{Until: testBase.Add(30 * time.Second)},
 		{Since: testBase.Add(10 * time.Second), Until: testBase.Add(40 * time.Second)},
+		{Until: testBase.Add(3 * time.Second)},
+		{Since: testBase.Add(24 * time.Second), Until: testBase.Add(26 * time.Second)},
+		{Since: testBase.Add(48 * time.Second), Until: testBase.Add(time.Hour)},
+		{Since: testBase.Add(24 * time.Second), Until: testBase.Add(26 * time.Second), Verdict: "deny"},
 		{PID: 5, Verdict: "deny"},
 		{PID: 5, Verdict: "deny", Reason: "no recent", Session: 1},
 		{Verdict: "grant", Since: testBase.Add(25 * time.Second), Limit: 17},

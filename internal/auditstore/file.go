@@ -15,21 +15,21 @@ import (
 	"overhaul/internal/faultinject"
 )
 
-// Segment files are named seg-<8 hex file id>.seg (binary format v2)
-// or seg-<8 hex file id>.jsonl (the v1 JSONL format, still read and
-// recovered transparently; new segments are always v2). The id is a
-// monotonically increasing file counter, *not* a sequence number:
-// compaction writes merged records into a fresh, higher id so its
-// output can never collide with a source file, and recovery orders
+// Segment files are named seg-<8 hex file id>.seg (binary format v2).
+// Releases before v2 wrote seg-<id>.jsonl; those are no longer read,
+// and a directory still holding one fails to open (see checkV1Segment)
+// rather than silently losing the history it holds.
+// The id is a monotonically increasing file counter, *not* a sequence
+// number: compaction writes merged records into a fresh, higher id so
+// its output can never collide with a source file, and recovery orders
 // overlapping segments by (first sequence, id). Compaction staging
 // uses a ".tmp" suffix; a leftover tmp file is a crashed compaction
-// and is discarded on open. Compaction and normalization rewrite
-// their v1 inputs as v2, so a mixed directory converges to v2.
+// and is discarded on open.
 const (
-	segPrefix   = "seg-"
-	segSuffix   = ".jsonl"
-	segSuffixV2 = ".seg"
-	tmpSuffix   = ".tmp"
+	segPrefix = "seg-"
+	segSuffix = ".seg"
+	tmpSuffix = ".tmp"
+	v1Suffix  = ".jsonl"
 )
 
 // Options parameterises a FileStore.
@@ -80,11 +80,8 @@ const (
 // with anything other than a clean, contiguous, CRC-verified stream
 // says so here — never a silent gap.
 type Recovery struct {
-	// Segments is the number of segment files scanned; SegmentsV1 of
-	// them were v1 JSONL, SegmentsV2 binary v2.
-	Segments   int
-	SegmentsV1 int
-	SegmentsV2 int
+	// Segments is the number of segment files scanned.
+	Segments int
 	// Records is the size of the recovered consistent prefix.
 	Records int
 	// LastSeq is the last sequence number in the recovered prefix.
@@ -226,54 +223,60 @@ func (fs *FileStore) Recovery() Recovery {
 	return fs.recovery
 }
 
-// segPath renders the (v2) segment file path for a file id.
+// segPath renders the segment file path for a file id.
 func (fs *FileStore) segPath(id uint64) string {
-	return filepath.Join(fs.dir, fmt.Sprintf("%s%08x%s", segPrefix, id, segSuffixV2))
+	return filepath.Join(fs.dir, fmt.Sprintf("%s%08x%s", segPrefix, id, segSuffix))
 }
 
-// parseSegID extracts the file id from a segment file name of either
-// format; v1 reports true.
-func parseSegID(name string) (id uint64, v1 bool, ok bool) {
-	if !strings.HasPrefix(name, segPrefix) {
-		return 0, false, false
+// parseSegID extracts the file id from a segment file name.
+func parseSegID(name string) (id uint64, ok bool) {
+	rest, ok := strings.CutPrefix(name, segPrefix)
+	if !ok {
+		return 0, false
 	}
-	rest := strings.TrimPrefix(name, segPrefix)
-	switch {
-	case strings.HasSuffix(rest, segSuffix):
-		v1 = true
-		rest = strings.TrimSuffix(rest, segSuffix)
-	case strings.HasSuffix(rest, segSuffixV2):
-		rest = strings.TrimSuffix(rest, segSuffixV2)
-	default:
-		return 0, false, false
-	}
-	if len(rest) != 8 {
-		return 0, false, false
+	rest, ok = strings.CutSuffix(rest, segSuffix)
+	if !ok || len(rest) != 8 {
+		return 0, false
 	}
 	id, err := strconv.ParseUint(rest, 16, 64)
-	return id, v1, err == nil
+	return id, err == nil
 }
 
-// loadedSegment is one decoded segment during recovery.
-type loadedSegment struct {
+// checkV1Segment fails for a v1 JSONL segment file name: its records
+// can no longer be decoded, and skipping the file would open the
+// store with a silent hole where that history was.
+func checkV1Segment(dir, name string) error {
+	if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, v1Suffix) {
+		return fmt.Errorf("auditstore: %s holds v1 JSONL segment %s, which this release no longer reads; compact the directory with an earlier release first",
+			dir, name)
+	}
+	return nil
+}
+
+// replaySeg is one segment file during recovery.
+type replaySeg struct {
 	id     uint64
 	path   string
-	v1     bool
-	recs   []Record
-	offs   []int
-	trunc  *Truncation
-	footer []blockEntry // non-nil when a sealed v2 segment carries its index
+	data   []byte // released once the segment has been streamed
 	size   int
+	first  uint64 // sequence of the first decodable frame; ^0 when none
+	sealed bool   // carries an intact footer
+	recs   int    // frames decoded, duplicates and dropped ones included
+	trunc  *Truncation
 }
 
-// recover scans the directory and rebuilds a consistent store state.
+// recover scans the directory and rebuilds a consistent store state in
+// one streaming pass: every frame of every segment is CRC-checked and
+// decoded exactly once, straight into the index.
 func (fs *FileStore) recover() error {
 	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
 		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
 	}
 	rec := &fs.recovery
-	var segs []loadedSegment
+	tab := new(internTable)
+	var segs []replaySeg
+	capHint := 0
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, tmpSuffix) {
@@ -286,23 +289,40 @@ func (fs *FileStore) recover() error {
 			rec.RemovedFiles = append(rec.RemovedFiles, name)
 			continue
 		}
-		id, v1, ok := parseSegID(name)
+		if err := checkV1Segment(fs.dir, name); err != nil {
+			return err
+		}
+		id, ok := parseSegID(name)
 		if !ok {
 			continue // not ours; leave foreign files alone
 		}
-		data, err := os.ReadFile(filepath.Join(fs.dir, name))
-		if err != nil {
+		seg := replaySeg{id: id, path: filepath.Join(fs.dir, name), first: ^uint64(0)}
+		if seg.data, err = os.ReadFile(seg.path); err != nil {
 			return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
 		}
-		seg := loadedSegment{id: id, path: filepath.Join(fs.dir, name), v1: v1, size: len(data)}
-		if v1 {
-			seg.recs, seg.offs, _, seg.trunc = decodeSegmentOffsets(data)
-			rec.SegmentsV1++
-		} else {
-			seg.recs, seg.offs, _, seg.trunc = decodeBinarySegmentOffsets(data, []int{})
-			seg.footer = parseFooter(data)
-			rec.SegmentsV2++
+		seg.size = len(seg.data)
+		// The first frame orders the segment; the footer, when intact,
+		// sizes the index. Neither is trusted beyond that: every frame
+		// is still CRC- and sequence-checked below.
+		streamSegment(seg.data, tab, func(r *Record, _ int) bool {
+			seg.first = r.Seq
+			return false
+		})
+		// Capacity hint: a sealed footer's record count, an unsealed
+		// segment's rotation limit, each capped by what the file's size
+		// can hold, so a lying footer cannot force a huge allocation.
+		n := seg.size / minFrameLen
+		hint := uint64(fs.opts.SegmentRecords)
+		if footer := parseFooter(seg.data); footer != nil {
+			seg.sealed = true
+			if len(footer) >= 2 {
+				hint = footer[len(footer)-1].seq - footer[0].seq
+			}
 		}
+		if hint < uint64(n) {
+			n = int(hint)
+		}
+		capHint += n
 		segs = append(segs, seg)
 		if id >= fs.nextID {
 			fs.nextID = id + 1
@@ -312,54 +332,90 @@ func (fs *FileStore) recover() error {
 	// Order by (first sequence, file id): compaction output overlaps
 	// its sources at the same sequences but carries a higher id.
 	sort.Slice(segs, func(i, j int) bool {
-		si, sj := firstSeq(segs[i]), firstSeq(segs[j])
-		if si != sj {
-			return si < sj
+		if segs[i].first != segs[j].first {
+			return segs[i].first < segs[j].first
 		}
-		if segs[i].id != segs[j].id {
-			return segs[i].id < segs[j].id
-		}
-		return segs[i].v1 && !segs[j].v1
+		return segs[i].id < segs[j].id
 	})
 
-	// Merge into the longest contiguous, verified prefix.
+	if !fs.replay(segs, capHint, tab) {
+		return fs.normalize(segs)
+	}
+	// Clean open: adopt the layout as it stands. The newest segment
+	// stays active if it is unsealed (no footer) and has room;
+	// everything else is sealed.
+	for i, seg := range segs {
+		if i == len(segs)-1 && !seg.sealed && seg.recs < fs.opts.SegmentRecords {
+			f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
+			}
+			fs.cur, fs.curID, fs.curRecs = f, seg.id, seg.recs
+			fs.curOff = uint64(seg.size)
+			continue
+		}
+		fs.sealed = append(fs.sealed, segmentInfo{id: seg.id, path: seg.path, recs: seg.recs})
+	}
+	return nil
+}
+
+// replay streams the ordered segments into the index under one lock,
+// merging them into the longest contiguous, verified prefix, and fills
+// in the Recovery report. The index is presized to capHint records.
+// The newest segment's block index is built on the way, in case it is
+// adopted as the active segment. replay reports whether the directory
+// was clean.
+func (fs *FileStore) replay(segs []replaySeg, capHint int, tab *internTable) bool {
+	rec := &fs.recovery
+	m := fs.mem
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recs = make([]Record, 0, capHint)
 	anomaly := len(rec.RemovedFiles) > 0
 	var next uint64
 	stopped := false
-	for si, seg := range segs {
-		for ri, r := range seg.recs {
-			if stopped {
+	fs.curIdx, fs.curMax = fs.curIdx[:0], math.MinInt64
+	for si := range segs {
+		seg := &segs[si]
+		newest := si == len(segs)-1
+		_, seg.trunc = streamSegment(seg.data, tab, func(r *Record, off int) bool {
+			if newest && seg.recs%indexEvery == 0 {
+				fs.curIdx = append(fs.curIdx, blockEntry{seq: r.Seq, off: uint64(off), maxBefore: fs.curMax})
+			}
+			seg.recs++
+			if newest {
+				if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > fs.curMax {
+					fs.curMax = tn
+				}
+			}
+			switch {
+			case stopped:
 				rec.DroppedRecords++
-				continue
-			}
-			if next == 0 {
-				next = r.Seq // the stream starts wherever retention left it
-			}
-			if r.Seq < next {
+			case next == 0 || r.Seq == next:
+				if next == 0 {
+					m.base = r.Seq // the stream starts wherever retention left it
+				}
+				m.indexLocked(r)
+				next = r.Seq + 1
+			case r.Seq < next:
 				// Overlap from an interrupted compaction cleanup: the
 				// record is already in the prefix.
 				anomaly = true
-				continue
-			}
-			if r.Seq > next {
+			default:
 				stopped = true
 				anomaly = true
 				rec.Truncated = true
 				rec.TruncatedFile = filepath.Base(seg.path)
-				rec.TruncatedOffset = seg.offs[ri]
+				rec.TruncatedOffset = off
 				rec.Reason = fmt.Sprintf("sequence gap: have %d, next record is %d", next-1, r.Seq)
 				rec.DroppedRecords++
-				continue
 			}
-			if err := fs.mem.adopt(r); err != nil {
-				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
-			}
-			next = r.Seq + 1
-		}
+			return true
+		})
+		seg.data = nil
 		if seg.trunc != nil {
 			anomaly = true
-			torn := seg.size - seg.trunc.Offset
-			rec.DroppedBytes += torn
+			rec.DroppedBytes += seg.size - seg.trunc.Offset
 			if !stopped {
 				// The first damage defines the truncation point; frames
 				// beyond it (in later segments) fall to the gap rule.
@@ -367,95 +423,34 @@ func (fs *FileStore) recover() error {
 				rec.TruncatedFile = filepath.Base(seg.path)
 				rec.TruncatedOffset = seg.trunc.Offset
 				rec.Reason = seg.trunc.Reason
-				if si < len(segs)-1 {
-					stopped = true
-				}
+				stopped = !newest
 			}
 		}
-		if len(seg.recs) == 0 && seg.trunc == nil && si < len(segs)-1 {
+		if seg.recs == 0 && seg.trunc == nil && !newest {
 			// An empty segment that is not the newest: a crash window
 			// between creating the active file and first writing to it,
 			// later superseded. Harmless, but normalize it away.
 			anomaly = true
 		}
 	}
-	n, err := fs.mem.Count()
-	if err != nil {
-		return err
+	// The presize hint overshoots whenever an unsealed segment holds
+	// fewer records than its rotation limit, or compaction output
+	// overlaps its sources. Moving the finished index into an
+	// exact-size array drops that slack; on the machine measured it
+	// also makes the queries that follow faster (DESIGN.md §15).
+	m.recs = append([]Record(nil), m.recs...)
+	rec.Records = len(m.recs)
+	if next > 0 {
+		rec.LastSeq = next - 1
 	}
-	rec.Records = n
-	rec.LastSeq = fs.mem.LastSeq()
 	rec.Clean = !anomaly
-
-	if anomaly {
-		return fs.normalize(segs)
-	}
-	// Clean open: adopt the layout as it stands. The newest segment
-	// stays active if it is v2, unsealed (no footer), and has room;
-	// everything else — including every v1 segment, which the v2
-	// writer never appends to — is sealed.
-	for i, seg := range segs {
-		if i == len(segs)-1 && !seg.v1 && seg.footer == nil && len(seg.recs) < fs.opts.SegmentRecords {
-			f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
-			}
-			fs.cur, fs.curID, fs.curRecs = f, seg.id, len(seg.recs)
-			fs.curOff = uint64(seg.size)
-			fs.rebuildActiveIndex(seg)
-			continue
-		}
-		fs.sealed = append(fs.sealed, segmentInfo{id: seg.id, path: seg.path, recs: len(seg.recs)})
-	}
-	return nil
-}
-
-// rebuildActiveIndex reconstructs the in-progress block index of an
-// adopted active segment from its decoded records and offsets.
-func (fs *FileStore) rebuildActiveIndex(seg loadedSegment) {
-	fs.curIdx = fs.curIdx[:0]
-	fs.curMax = math.MinInt64
-	for i, r := range seg.recs {
-		if i%indexEvery == 0 {
-			fs.curIdx = append(fs.curIdx, blockEntry{seq: r.Seq, off: uint64(seg.offs[i]), maxBefore: fs.curMax})
-		}
-		if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > fs.curMax {
-			fs.curMax = tn
-		}
-	}
-}
-
-// firstSeq returns the segment's first sequence number, or the maximum
-// value for empty segments so they sort last among equals.
-func firstSeq(s loadedSegment) uint64 {
-	if len(s.recs) == 0 {
-		return ^uint64(0)
-	}
-	return s.recs[0].Seq
-}
-
-// decodeSegmentOffsets is DecodeSegment plus the byte offset of every
-// decoded record, for truncation reporting.
-func decodeSegmentOffsets(data []byte) ([]Record, []int, int, *Truncation) {
-	recs, n, trunc := DecodeSegment(data)
-	offs := make([]int, len(recs))
-	off := 0
-	for i, r := range recs {
-		offs[i] = off
-		line, err := EncodeRecord(r)
-		if err != nil {
-			// Unreachable: r decoded from a frame, so it re-encodes.
-			break
-		}
-		off += len(line)
-	}
-	return recs, offs, n, trunc
+	return rec.Clean
 }
 
 // normalize rewrites the recovered prefix into one fresh segment and
 // removes every older file, so the directory decodes cleanly next
 // time. Runs fault-free (see Options.Hook).
-func (fs *FileStore) normalize(old []loadedSegment) error {
+func (fs *FileStore) normalize(old []replaySeg) error {
 	n, err := fs.mem.Count()
 	if err != nil {
 		return err
@@ -626,8 +621,7 @@ func (fs *FileStore) rotateSeg() error {
 
 // Compact merges every sealed segment into one. The active segment is
 // left alone. Compaction never drops records — the audit trail is the
-// product — it only reduces file count and normalizes ordering; sealed
-// v1 segments are rewritten in the v2 format.
+// product — it only reduces file count and normalizes ordering.
 func (fs *FileStore) Compact() error {
 	fs.mu.Lock()
 	for fs.committing {

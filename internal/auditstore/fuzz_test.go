@@ -10,78 +10,10 @@ import (
 	"overhaul/internal/auditstore"
 )
 
-// FuzzSegmentDecode pins the codec's safety contract: DecodeSegment
-// never panics on arbitrary bytes, never reads past its input, and is
-// idempotent — re-encoding whatever it decoded and decoding again
-// yields the same records. Torn, bit-flipped, and random inputs all
-// land here.
-func FuzzSegmentDecode(f *testing.F) {
-	// Seeds: valid streams, a torn tail, a flipped CRC, random junk.
-	var valid []byte
-	for i := 0; i < 5; i++ {
-		r := mkRecord(i)
-		r.Seq = uint64(i + 1)
-		line, err := auditstore.EncodeRecord(r)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
-		valid = append(valid, line...)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-7])           // torn payload
-	f.Add(valid[:9])                      // torn header
-	f.Add([]byte{})                       // empty
-	f.Add([]byte("not a segment at all")) // junk
-	f.Add([]byte("00000002ffffffff{}\n")) // crc mismatch
-	flipped := append([]byte(nil), valid...)
-	flipped[20] ^= 0x40
-	f.Add(flipped) // bit rot mid-payload
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, consumed, trunc := auditstore.DecodeSegment(data)
-		if consumed < 0 || consumed > len(data) {
-			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
-		}
-		if trunc == nil && consumed != len(data) {
-			t.Fatalf("clean decode consumed %d of %d bytes", consumed, len(data))
-		}
-		if trunc != nil {
-			if trunc.Offset != consumed {
-				t.Fatalf("truncation offset %d != consumed %d", trunc.Offset, consumed)
-			}
-			if trunc.Reason == "" {
-				t.Fatalf("truncation without a reason")
-			}
-		}
-		// Idempotence: what decoded once decodes identically again.
-		var reenc []byte
-		for _, r := range recs {
-			line, err := auditstore.EncodeRecord(r)
-			if err != nil {
-				// A decoded record always re-encodes unless its payload
-				// held values JSON can parse but not marshal (times
-				// outside year range); those can't round-trip.
-				t.Skipf("decoded record does not re-encode: %v", err)
-			}
-			reenc = append(reenc, line...)
-		}
-		again, consumed2, trunc2 := auditstore.DecodeSegment(reenc)
-		if trunc2 != nil {
-			t.Fatalf("re-encoded stream truncated at %d: %s", trunc2.Offset, trunc2.Reason)
-		}
-		if consumed2 != len(reenc) || len(again) != len(recs) {
-			t.Fatalf("re-decode: %d records %d bytes, want %d records %d bytes",
-				len(again), consumed2, len(recs), len(reenc))
-		}
-	})
-}
-
 // FuzzBinarySegmentDecode pins the v2 binary codec's safety contract:
 // DecodeBinarySegment never panics on arbitrary bytes, never reads
 // past its input, reports truncation exactly at the consumed offset,
-// and whatever it decodes round-trips through the v2 encoder — and
-// converges through the v1 JSONL codec, so a mixed-format directory
-// can be upgraded without changing a single record.
+// and whatever it decodes round-trips through the v2 encoder.
 func FuzzBinarySegmentDecode(f *testing.F) {
 	// Seeds: a valid frame stream, a real sealed segment with footer
 	// (written by the store itself), torn tails, flipped bytes, junk.
@@ -144,34 +76,6 @@ func FuzzBinarySegmentDecode(f *testing.F) {
 			}
 		}
 
-		// Cross-codec convergence: a v2-decoded record carried through
-		// the v1 JSONL codec reaches a fixed point (strings with invalid
-		// UTF-8 are sanitised by JSON on the first pass, like
-		// FuzzRecordRoundTrip documents), and that fixed point carries
-		// identical scalar fields and instants.
-		for _, r := range recs {
-			line, err := auditstore.EncodeRecord(r)
-			if err != nil {
-				t.Fatalf("v1 encode of v2-decoded record: %v", err)
-			}
-			v1recs, _, v1trunc := auditstore.DecodeSegment(line)
-			if v1trunc != nil || len(v1recs) != 1 {
-				t.Fatalf("v1 decode: %d records trunc=%v", len(v1recs), v1trunc)
-			}
-			got := v1recs[0]
-			if got.Seq != r.Seq || got.PID != r.PID || got.Degraded != r.Degraded ||
-				!got.Time.Equal(r.Time) || !got.Stamp.Equal(r.Stamp) || got.Session != r.Session {
-				t.Fatalf("v1 convergence lost scalars: got %+v want %+v", got, r)
-			}
-			frame2, err := auditstore.EncodeBinaryRecord(got)
-			if err != nil {
-				t.Fatalf("v2 re-encode of v1 fixed point: %v", err)
-			}
-			back, _, backTrunc := auditstore.DecodeBinarySegment(append(auditstore.BinarySegmentMagic(), frame2...))
-			if backTrunc != nil || len(back) != 1 || back[0] != got {
-				t.Fatalf("v2 decode of converged record diverged: %+v vs %+v", back, got)
-			}
-		}
 	})
 }
 
@@ -204,8 +108,8 @@ func sealedSegmentBytes(f *testing.F) []byte {
 }
 
 // FuzzRecordRoundTrip pins the encode→decode identity for every valid
-// record: whatever fields a record carries, one framed line comes back
-// as exactly that record.
+// record: whatever fields a record carries, one framed record comes
+// back as exactly that record, and its encoding is stable.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(0), uint64(0), 100, "open_device", "grant", "interaction 1s ago", int64(0), false)
 	f.Add(uint64(1<<40), int64(1456822800), uint64(7), -5, "", "deny", "reason with \"quotes\" and \n newline", int64(-12345), true)
@@ -223,45 +127,29 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			Stamp:    time.Unix(stampSec%(1<<33), 0).UTC(),
 			Degraded: degraded,
 		}
-		line, err := auditstore.EncodeRecord(r)
+		frame, err := auditstore.EncodeBinaryRecord(r)
 		if err != nil {
-			// Strings JSON cannot carry (invalid UTF-8 is replaced, not
-			// rejected) don't error; only oversized payloads do.
-			if len(op)+len(verdict)+len(reason) < auditstore.MaxPayload/2 {
+			// Only pids outside the codec's int32 range and oversized
+			// payloads are rejected.
+			if pid == int(int32(pid)) && len(op)+len(verdict)+len(reason) < auditstore.MaxPayload/2 {
 				t.Fatalf("encode rejected a plausible record: %v", err)
 			}
 			return
 		}
-		recs, consumed, trunc := auditstore.DecodeSegment(line)
-		if trunc != nil || consumed != len(line) || len(recs) != 1 {
-			t.Fatalf("decode of one line: %d records, %d/%d bytes, trunc=%v", len(recs), consumed, len(line), trunc)
+		seg := append(auditstore.BinarySegmentMagic(), frame...)
+		recs, consumed, trunc := auditstore.DecodeBinarySegment(seg)
+		if trunc != nil || consumed != len(seg) || len(recs) != 1 {
+			t.Fatalf("decode of one frame: %d records, %d/%d bytes, trunc=%v", len(recs), consumed, len(seg), trunc)
 		}
-		got := recs[0]
-		// Invalid UTF-8 input is sanitised to U+FFFD by the JSON
-		// encoder (escaped on the first pass, literal afterwards), so
-		// the invariant is convergence: from the first decode on,
-		// encode→decode is the identity and the encoding is stable.
-		line2, err := auditstore.EncodeRecord(got)
+		if recs[0] != r {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", recs[0], r)
+		}
+		frame2, err := auditstore.EncodeBinaryRecord(recs[0])
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		recs2, consumed2, trunc2 := auditstore.DecodeSegment(line2)
-		if trunc2 != nil || consumed2 != len(line2) || len(recs2) != 1 {
-			t.Fatalf("re-decode of one line: %d records, %d/%d bytes, trunc=%v", len(recs2), consumed2, len(line2), trunc2)
-		}
-		if recs2[0] != got {
-			t.Fatalf("decoded record not a fixed point:\n first %+v\nsecond %+v", got, recs2[0])
-		}
-		line3, err := auditstore.EncodeRecord(recs2[0])
-		if err != nil {
-			t.Fatalf("third encode: %v", err)
-		}
-		if !bytes.Equal(line2, line3) {
-			t.Fatalf("encoding did not converge:\n second %q\n third %q", line2, line3)
-		}
-		if got.Seq != r.Seq || got.PID != r.PID || got.Degraded != r.Degraded ||
-			!got.Time.Equal(r.Time) || !got.Stamp.Equal(r.Stamp) || got.Session != r.Session {
-			t.Fatalf("scalar fields diverged: got %+v want %+v", got, r)
+		if !bytes.Equal(frame, frame2) {
+			t.Fatalf("encoding not stable:\n first %q\nsecond %q", frame, frame2)
 		}
 	})
 }

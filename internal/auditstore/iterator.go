@@ -18,8 +18,8 @@ type Iterable interface {
 // and Next never blocks appenders. Like Scan, the narrowest
 // applicable index drives iteration — a pid or verdict posting list
 // when the query pins one, their galloping-merge intersection when it
-// pins both — and a Since bound over a time-ordered stream seeks its
-// starting position instead of scanning to it.
+// pins both — and a Since/Until window over a time-ordered stream
+// seeks both ends instead of scanning to them.
 //
 // An Iterator is not safe for concurrent use; create one per
 // goroutine.
@@ -74,14 +74,24 @@ func (m *MemStore) planLocked(q Query, it *Iterator) {
 	it.checkReason = q.Reason != ""
 	it.checkSession = q.Session != 0
 
-	// Since seek: on a time-ordered stream the first candidate
-	// position is found by binary search, not by scanning.
-	start := 0
-	if it.checkSince && m.timeOrdered {
-		start = sort.Search(len(m.recs), func(i int) bool {
-			return !m.recs[i].Time.Before(q.Since)
-		})
-		it.checkSince = false // everything from start on passes
+	// Time window: on a time-ordered stream the candidate positions
+	// [start, end) are found by binary search, not by scanning, and
+	// the iteration never walks past the Until bound.
+	start, end := 0, len(m.recs)
+	if m.timeOrdered {
+		if it.checkSince {
+			start = sort.Search(len(m.recs), func(i int) bool {
+				return !m.recs[i].Time.Before(q.Since)
+			})
+			it.checkSince = false // everything from start on passes
+		}
+		if it.checkUntil {
+			end = start + sort.Search(len(m.recs)-start, func(i int) bool {
+				return !m.recs[start+i].Time.Before(q.Until)
+			})
+			it.checkUntil = false // everything before end passes
+			it.recs = m.recs[:end]
+		}
 	}
 
 	var pid, ver []int
@@ -91,6 +101,10 @@ func (m *MemStore) planLocked(q Query, it *Iterator) {
 	}
 	if q.Verdict != "" {
 		ver, haveVer = m.byVerdict[q.Verdict], true
+	}
+	if end < len(m.recs) {
+		pid = pid[:sort.SearchInts(pid, end)]
+		ver = ver[:sort.SearchInts(ver, end)]
 	}
 	switch {
 	case havePID && haveVer:

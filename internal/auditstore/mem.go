@@ -6,8 +6,8 @@ import (
 
 // MemStore is the indexed in-memory backend: records ordered by
 // sequence number in one contiguous slice, with secondary posting-list
-// indexes by pid and verdict and a monotone-time fast path for Since
-// queries. It is safe for concurrent use and is also the query index
+// indexes by pid and verdict and a monotone-time fast path for
+// Since/Until windows. It is safe for concurrent use and is also the query index
 // the FileStore keeps in front of its segments, so the two backends
 // answer every query through identical code.
 type MemStore struct {
@@ -20,8 +20,8 @@ type MemStore struct {
 	byPID     map[int][]int
 	byVerdict map[string][]int
 	// timeOrdered tracks whether record times are non-decreasing in
-	// sequence order; while true, Since queries binary-search their
-	// starting position instead of scanning.
+	// sequence order; while true, Since and Until bounds binary-search
+	// their positions instead of scanning.
 	timeOrdered bool
 }
 
@@ -52,26 +52,20 @@ func (m *MemStore) appendLocked(r Record) (uint64, error) {
 		return 0, ErrSeqMismatch
 	}
 	r.Seq = next
+	m.indexLocked(&r)
+	return next, nil
+}
+
+// indexLocked appends a record already carrying the next sequence
+// number and adds it to the secondary indexes.
+func (m *MemStore) indexLocked(r *Record) {
 	if n := len(m.recs); n > 0 && r.Time.Before(m.recs[n-1].Time) {
 		m.timeOrdered = false
 	}
 	pos := len(m.recs)
-	m.recs = append(m.recs, r)
+	m.recs = append(m.recs, *r)
 	m.byPID[r.PID] = append(m.byPID[r.PID], pos)
 	m.byVerdict[r.Verdict] = append(m.byVerdict[r.Verdict], pos)
-	return next, nil
-}
-
-// adopt seeds the store with an already-sequenced record during
-// recovery replay. The first adopted record fixes the base sequence.
-func (m *MemStore) adopt(r Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.recs) == 0 {
-		m.base = r.Seq
-	}
-	_, err := m.appendLocked(r)
-	return err
 }
 
 // Get implements Store.
@@ -110,8 +104,8 @@ func (m *MemStore) LastSeq() uint64 {
 // Scan implements Store. The narrowest applicable secondary index
 // drives the iteration: a pid or verdict posting list when the query
 // pins one, their galloping-merge intersection when it pins both,
-// else the sequence-ordered slice itself, entered by binary search on
-// time when the stream is time-ordered and Since is set. Candidates
+// else the sequence-ordered slice itself, cut to the Since/Until window
+// by binary search on time when the stream is time-ordered. Candidates
 // are filtered in place — no Record is copied until it is actually
 // yielded.
 func (m *MemStore) Scan(q Query, yield func(Record) bool) error {

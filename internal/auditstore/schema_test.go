@@ -2,8 +2,6 @@ package auditstore_test
 
 import (
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -13,50 +11,6 @@ import (
 	"overhaul/internal/monitor"
 	"overhaul/internal/telemetry"
 )
-
-// TestRecordGoldenEncoding pins the segment line format to a literal:
-// 8 hex digits of payload length, 8 hex digits of CRC-32 (IEEE), the
-// compact JSON payload with exactly these keys in exactly this order,
-// and a newline. If this test breaks, existing store directories stop
-// decoding — change the format only with a migration story.
-func TestRecordGoldenEncoding(t *testing.T) {
-	r := auditstore.Record{
-		Seq:     42,
-		Time:    time.Date(2016, 3, 1, 9, 0, 2, 0, time.UTC),
-		Session: 7,
-		PID:     1234,
-		Op:      "open_device",
-		Verdict: "deny",
-		Reason:  "no interaction stamp",
-		Stamp:   time.Date(2016, 3, 1, 8, 59, 0, 0, time.UTC),
-	}
-	const goldenPayload = `{"seq":42,"time":"2016-03-01T09:00:02Z","session":7,"pid":1234,` +
-		`"op":"open_device","verdict":"deny","reason":"no interaction stamp",` +
-		`"stamp":"2016-03-01T08:59:00Z"}`
-	want := fmt.Sprintf("%08x%08x%s\n", len(goldenPayload), crc32.ChecksumIEEE([]byte(goldenPayload)), goldenPayload)
-
-	line, err := auditstore.EncodeRecord(r)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if string(line) != want {
-		t.Fatalf("segment line drifted from golden:\n got %q\nwant %q", line, want)
-	}
-
-	// Optional fields stay omitted when zero — the schema's omitempty
-	// set is part of the format. (Stamp is always present: a zero time
-	// means "no stamp consulted" and time.Time ignores omitempty.)
-	bare := auditstore.Record{Seq: 1, Time: r.Time, PID: 1, Op: "x", Verdict: "grant", Reason: "r"}
-	line, err = auditstore.EncodeRecord(bare)
-	if err != nil {
-		t.Fatalf("encode bare: %v", err)
-	}
-	for _, key := range []string{"session", "degraded"} {
-		if strings.Contains(string(line), `"`+key+`"`) {
-			t.Fatalf("zero-valued %q serialized in %q", key, line)
-		}
-	}
-}
 
 // TestRecordSchemaShared pins the shared decision schema across the
 // three surfaces that render it: the durable store's Record, the

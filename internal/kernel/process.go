@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,10 +225,11 @@ func (p *Process) Exec(name, exe string) error {
 	return nil
 }
 
-// Exit terminates the process, removes it from the process table, and
-// returns the task struct to the kernel's free list. The handle is
-// invalid afterwards: a later Spawn/Fork may reincarnate the struct as
-// a different process (with a different pid — pids are never reused).
+// Exit terminates the process, removes it from the process table and
+// from its live parent's children, and returns the task struct to the
+// kernel's free list. The handle is invalid afterwards: a later
+// Spawn/Fork may reincarnate the struct as a different process (with a
+// different pid — pids are never reused).
 func (p *Process) Exit() error {
 	p.mu.Lock()
 	if p.state != StateRunning {
@@ -238,7 +240,17 @@ func (p *Process) Exit() error {
 	p.mu.Unlock()
 
 	k := p.k
-	k.table.remove(p.PID())
+	pid := p.PID()
+	if parent, ok := k.table.get(p.PPID()); ok {
+		// Should the parent's struct have been recycled meanwhile, the
+		// new incarnation cannot list pid: pids are never reused.
+		parent.mu.Lock()
+		if i := slices.Index(parent.children, pid); i >= 0 {
+			parent.children = slices.Delete(parent.children, i, i+1)
+		}
+		parent.mu.Unlock()
+	}
+	k.table.remove(pid)
 	k.stats.exits.Add(1)
 	k.procPool.Put(p)
 	return nil

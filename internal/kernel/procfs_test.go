@@ -115,3 +115,46 @@ func TestProcStatusShowsTracer(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// TestExitLeavesParentChildren pins that an exited child leaves its
+// parent's children list: a long-lived app that forks per operation
+// must not grow that list, or its /proc Children: line, without bound.
+func TestExitLeavesParentChildren(t *testing.T) {
+	e := newEnv(t, enforcing())
+	app := e.spawnUser(t, "app")
+	for i := 0; i < 10_000; i++ {
+		child, err := app.Fork()
+		if err != nil {
+			t.Fatalf("Fork %d: %v", i, err)
+		}
+		if err := child.Exit(); err != nil {
+			t.Fatalf("Exit %d: %v", i, err)
+		}
+	}
+	if kids := app.Children(); len(kids) != 0 {
+		t.Fatalf("%d children listed after every child exited", len(kids))
+	}
+	out, err := e.k.ReadProc("/proc/" + itoa(app.PID()) + "/status")
+	if err != nil {
+		t.Fatalf("ReadProc: %v", err)
+	}
+	if !strings.Contains(string(out), "Children:\t\n") {
+		t.Fatalf("status lists exited children:\n%s", out)
+	}
+
+	// A live child stays listed while its sibling's exit is recorded.
+	live, err := app.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	gone, err := app.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if err := gone.Exit(); err != nil {
+		t.Fatalf("Exit: %v", err)
+	}
+	if kids := app.Children(); len(kids) != 1 || kids[0] != live.PID() {
+		t.Fatalf("children = %v, want [%d]", kids, live.PID())
+	}
+}
