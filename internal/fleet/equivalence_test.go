@@ -8,13 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"overhaul/internal/clock"
+	"overhaul/internal/kernel"
 	"overhaul/internal/monitor"
+	"overhaul/internal/telemetry"
 )
 
 // scriptOp is one step of a deterministic session script. The same
-// script is replayed against a shared-Tables fleet session and a
-// duplicated-Tables standalone session; every observable output must
-// match byte for byte.
+// script is replayed against a shared-Tables fleet session, a
+// duplicated-Tables standalone session, and a single-desktop Monitor;
+// every observable output must match byte for byte.
 type scriptOp struct {
 	kind  int // 0 spawn, 1 fork, 2 exit, 3 notify, 4 decide, 5 degrade, 6 undegrade
 	proc  int // index into the script's pid list (fork parent / exit / notify / decide target)
@@ -68,10 +71,24 @@ type sessionTrace struct {
 	stats    SessionStats
 }
 
-// replay runs a script against one session and records its trace. It
+// replayTarget is what a script drives: a fleet *Session, or a
+// monitorTarget wrapping the single-desktop Monitor.
+type replayTarget interface {
+	Spawn() (int, error)
+	Fork(parent int) (int, error)
+	Exit(pid int) error
+	NotifyNanos(pid int, nanos int64) error
+	DecideNanos(pid int, op monitor.Op, nanos int64) (monitor.Verdict, error)
+	SetDegraded(reason string)
+	ClearDegraded()
+	Audit() []monitor.Decision
+	StatsSnapshot() SessionStats
+}
+
+// replay runs a script against one target and records its trace. It
 // panics rather than taking a *testing.T so it is safe to run from
 // spawned goroutines (Fatal is main-goroutine-only).
-func replay(s *Session, script []scriptOp) sessionTrace {
+func replay(s replayTarget, script []scriptOp) sessionTrace {
 	var tr sessionTrace
 	var pids []int
 	pidAt := func(i int) int {
@@ -117,6 +134,94 @@ func replay(s *Session, script []scriptOp) sessionTrace {
 	return tr
 }
 
+// fakeTable is a minimal monitor.TaskTable with session semantics:
+// pids count up from 1, stamps live in kernel.StampSlots (the cell a
+// session uses), fork copies the parent's stamp (P1), and no process
+// is ever ptraced.
+type fakeTable struct {
+	next  int
+	procs map[int]*kernel.StampSlot
+}
+
+func (f *fakeTable) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+	p, ok := f.procs[pid]
+	if !ok {
+		return time.Time{}, telemetry.SpanContext{}, false, false
+	}
+	return p.Time(), p.Span(), false, true
+}
+
+func (f *fakeTable) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error {
+	p, ok := f.procs[pid]
+	if !ok {
+		return ErrNoSuchProcess
+	}
+	p.Adopt(t, ctx)
+	return nil
+}
+
+// monitorTarget drives a Monitor over a fakeTable, with an alert sink
+// installed so due alerts are counted.
+type monitorTarget struct {
+	*monitor.Monitor
+	tasks         *fakeTable
+	spawns, exits uint64
+}
+
+func newMonitorTarget(pol monitor.Policy, auditCap int) *monitorTarget {
+	tasks := &fakeTable{procs: make(map[int]*kernel.StampSlot)}
+	m, err := monitor.New(clock.NewSimulated(), tasks, monitor.Config{
+		Threshold: pol.Threshold, ForceGrant: pol.Force, Enforce: pol.Enforce, AuditCapacity: auditCap,
+	})
+	if err != nil {
+		panic(err)
+	}
+	m.SetAlertFunc(func(monitor.AlertRequest) {})
+	return &monitorTarget{Monitor: m, tasks: tasks}
+}
+
+func (t *monitorTarget) Spawn() (int, error) {
+	t.tasks.next++
+	t.tasks.procs[t.tasks.next] = &kernel.StampSlot{}
+	t.spawns++
+	return t.tasks.next, nil
+}
+
+func (t *monitorTarget) Fork(parent int) (int, error) {
+	p, ok := t.tasks.procs[parent]
+	if !ok {
+		return 0, ErrNoSuchProcess
+	}
+	pid, _ := t.Spawn()
+	t.tasks.procs[pid].Adopt(p.Time(), p.Span())
+	return pid, nil
+}
+
+func (t *monitorTarget) Exit(pid int) error {
+	if _, ok := t.tasks.procs[pid]; !ok {
+		return ErrNoSuchProcess
+	}
+	delete(t.tasks.procs, pid)
+	t.exits++
+	return nil
+}
+
+func (t *monitorTarget) NotifyNanos(pid int, nanos int64) error {
+	return t.Notify(pid, time.Unix(0, nanos).UTC())
+}
+
+func (t *monitorTarget) DecideNanos(pid int, op monitor.Op, nanos int64) (monitor.Verdict, error) {
+	return t.Decide(pid, op, time.Unix(0, nanos).UTC()), nil
+}
+
+func (t *monitorTarget) StatsSnapshot() SessionStats {
+	st := t.Monitor.StatsSnapshot()
+	return SessionStats{
+		Notifications: st.Notifications, Grants: st.Grants, Denials: st.Denials, Alerts: st.AlertsSent,
+		Spawns: t.spawns, Exits: t.exits, DroppedAudit: t.DroppedAudit(),
+	}
+}
+
 // errString canonicalizes an error for stream comparison. Session
 // errors embed the session ID (which legitimately differs between a
 // fleet session and its standalone twin), so compare by sentinel.
@@ -145,6 +250,7 @@ func TestFleetEquivalentToStandalone(t *testing.T) {
 	const steps = 400
 
 	shared := newTestFleet(t, Config{})
+	wideFleet := newTestFleet(t, Config{AuditCapacity: steps})
 
 	for i := 0; i < sessions; i++ {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
@@ -167,6 +273,25 @@ func TestFleetEquivalentToStandalone(t *testing.T) {
 		}
 		if got.stats != want.stats {
 			t.Fatalf("session %d: stats diverge: fleet %+v standalone %+v", i, got.stats, want.stats)
+		}
+
+		// The single-desktop Monitor runs the same decision core: a
+		// session and a Monitor replaying the script must agree on
+		// every verdict, reason, audit record and count — alerts
+		// included, which are due on grants and blocked denials alike.
+		// Both logs are sized to keep the whole script, because the
+		// Monitor stripes its log by pid and so evicts differently.
+		wide := wideFleet.CreateSession()
+		sess := replay(wide, script)
+		mon := replay(newMonitorTarget(wideFleet.Tables().Policy(), steps), script)
+		if !reflect.DeepEqual(sess.verdicts, mon.verdicts) || !reflect.DeepEqual(sess.errs, mon.errs) {
+			t.Fatalf("session %d: Monitor verdict or error stream diverges from the session's", i)
+		}
+		if string(sess.audit) != string(mon.audit) {
+			t.Fatalf("session %d: Monitor audit stream differs\nsession: %s\nmonitor: %s", i, sess.audit, mon.audit)
+		}
+		if sess.stats != mon.stats {
+			t.Fatalf("session %d: stats diverge: session %+v monitor %+v", i, sess.stats, mon.stats)
 		}
 	}
 }

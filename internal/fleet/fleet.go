@@ -16,18 +16,20 @@
 //     cross-tenant side channel through its *contents*.
 //
 //   - Mutable, per-tenant → partitioned. Interaction stamps, the audit
-//     ring, activity counters, and the optional telemetry recorder are
-//     owned by their Session and touched by no other. This is the
-//     "time protection" rule (Ge et al., PAPERS.md): shared *writable*
-//     state is a timing probe between tenants, so one tenant hammering
-//     its decision path must not dirty a cache line another tenant's
-//     decision latency depends on.
+//     ring, activity counters, the degraded flag and the optional
+//     telemetry recorder are owned by their Session and touched by no
+//     other. This is the "time protection" rule (Ge et al., PAPERS.md):
+//     shared *writable* state is a timing probe between tenants, so one
+//     tenant hammering its decision path must not dirty a cache line
+//     another tenant's decision latency depends on.
 //
-// Sessions are plain structs — no goroutine, no channel, no clock —
-// so booting 100k of them costs only memory (a few hundred bytes each
-// until their lazily-allocated audit ring first fills). Traffic
-// enters through Fleet.Dispatch, which routes by session ID across a
-// lock-striped session table.
+// A Session is a monitor.Core — the decision core the single-desktop
+// Monitor runs too: Policy.Evaluate, counters, audit ring, degraded
+// flag — plus a private process map. Sessions are plain structs — no
+// goroutine, no channel, no clock — so booting 100k of them costs only
+// memory (256 bytes each until the first decision allocates the audit
+// ring). Traffic enters through Fleet.Dispatch, which routes by session
+// ID across a lock-striped session table.
 package fleet
 
 import (
@@ -67,7 +69,7 @@ func (t *Tables) Policy() monitor.Policy { return t.policy }
 // Generation returns the snapshot's generation number.
 func (t *Tables) Generation() uint64 { return t.gen }
 
-// AlertOp reports whether a granted op raises a visual alert.
+// AlertOp reports whether a decision on op raises a visual alert.
 func (t *Tables) AlertOp(op monitor.Op) bool { return t.alertOps[op] }
 
 // App looks up an application spec in the shared catalog.
@@ -106,7 +108,7 @@ type Config struct {
 	// Policy is the shared decision rule. A zero Threshold selects
 	// monitor.DefaultThreshold.
 	Policy monitor.Policy
-	// AlertOps lists ops whose grants raise alerts; nil selects the
+	// AlertOps lists ops whose decisions raise alerts; nil selects the
 	// monitor's kernel-side default (mic, cam, other devices).
 	AlertOps []monitor.Op
 	// Apps seeds the shared application catalog; nil selects
@@ -162,13 +164,6 @@ func New(cfg Config) (*Fleet, error) {
 	if pol.Threshold < 0 {
 		return nil, fmt.Errorf("fleet: negative threshold %v", pol.Threshold)
 	}
-	alertOps := map[monitor.Op]bool{monitor.OpMic: true, monitor.OpCam: true, monitor.OpOther: true}
-	if cfg.AlertOps != nil {
-		alertOps = make(map[monitor.Op]bool, len(cfg.AlertOps))
-		for _, op := range cfg.AlertOps {
-			alertOps[op] = true
-		}
-	}
 	appList := cfg.Apps
 	if appList == nil {
 		appList = workload.DevicePool()
@@ -186,7 +181,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{auditCap: auditCap}
 	f.probeDispatch = cfg.Probes.Hook(probe.HookFleetDispatch)
-	f.tables.Store(&Tables{policy: pol, alertOps: alertOps, apps: apps, gen: 1})
+	f.tables.Store(&Tables{policy: pol, alertOps: monitor.AlertOpSet(cfg.AlertOps), apps: apps, gen: 1})
 	for i := range f.shards {
 		f.shards[i].m = make(map[uint64]*Session)
 	}
@@ -227,11 +222,8 @@ func (f *Fleet) shard(id uint64) *sessionShard {
 // allocation and one striped-map insert — no goroutine, no clock, no
 // pre-sized buffers.
 func (f *Fleet) CreateSession() *Session {
-	s := &Session{
-		id:       f.nextID.Add(1),
-		fleet:    f,
-		auditCap: f.auditCap,
-	}
+	s := &Session{id: f.nextID.Add(1), fleet: f}
+	s.Init(f.auditCap)
 	sh := f.shard(s.id)
 	sh.mu.Lock()
 	sh.m[s.id] = s

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"overhaul/internal/monitor"
 	"overhaul/internal/workload"
@@ -293,5 +295,33 @@ func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("fleet Decide allocates %.2f times per op, want 0", avg)
+	}
+}
+
+// TestSessionFirstDecisionAllocatesOneRing pins the per-session
+// footprint that bounds a 10k-session fleet's heap: a session's first
+// decision allocates its audit ring — AuditCapacity plain Decision
+// values — and nothing else. A per-record field or a second ring
+// added to the shared core fails here. The slack covers only the
+// allocator's size-class rounding.
+func TestSessionFirstDecisionAllocatesOneRing(t *testing.T) {
+	const slack = 256
+	f := newTestFleet(t, Config{})
+	warm, pid := spawnStamped(t, f)
+	if _, err := warm.Decide(pid, monitor.OpMic, base.Add(time.Second)); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+
+	s, pid := spawnStamped(t, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := s.Decide(pid, monitor.OpMic, base.Add(time.Second))
+	runtime.ReadMemStats(&after)
+	if err != nil || v != monitor.VerdictGrant {
+		t.Fatalf("Decide = %v, %v; want a grant", v, err)
+	}
+	want := uint64(DefaultAuditCapacity) * uint64(unsafe.Sizeof(monitor.Decision{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got < want || got > want+slack {
+		t.Errorf("first decision allocated %d bytes, want one %d-byte ring (+%d slack)", got, want, slack)
 	}
 }

@@ -12,41 +12,32 @@ import (
 )
 
 // Session is one tenant's Overhaul desktop reduced to its decision
-// core: a private process/stamp table, a private audit ring, private
-// counters, and an optional private telemetry recorder, all evaluated
-// against the fleet's shared immutable Tables. It is a plain struct —
-// no goroutine, no channel, no clock — so a fleet can hold 100k of
-// them. All methods are safe for concurrent use.
+// core: a monitor.Core (the audit ring, the counters, the degraded
+// flag and the decision sequence the single-desktop Monitor runs too),
+// a private process/stamp table, and an optional private telemetry
+// recorder, all evaluated against the fleet's shared immutable Tables.
+// It is a plain struct — no goroutine, no channel, no clock — so a
+// fleet can hold 100k of them. All methods are safe for concurrent
+// use; SetAuditSink and SetTelemetry must be called before traffic
+// starts.
 //
 // Everything mutable is owned by the session (the time-protection
 // partitioning rule); the only cross-session state a decision touches
 // is the read-only Tables snapshot and the session-table stripe lock
 // on the ingress lookup.
 type Session struct {
-	id       uint64
-	fleet    *Fleet
-	auditCap int
-	closed   atomic.Bool
+	monitor.Core
 
-	// degraded is the per-session fail-closed flag: one tenant's
-	// broken channel degrades that tenant only.
-	degraded atomic.Pointer[string]
-
+	id      uint64
+	fleet   *Fleet
+	closed  atomic.Bool
 	nextPID atomic.Int64
-	audit   sessionAudit // carries its own lock
-	stats   sessionStats // atomics throughout
+	spawns  atomic.Uint64
+	exits   atomic.Uint64
 
-	// tel is the optional per-session recorder with its pre-resolved
-	// handles; nil for the (default) uninstrumented tenant. Set before
-	// traffic starts (SetTelemetry is not concurrency-safe against
-	// in-flight decisions).
+	// tel is the optional per-session recorder's pre-resolved decision
+	// counters; nil for the (default) uninstrumented tenant.
 	tel *sessionTel
-
-	// auditSink is the optional durable audit callback (SetAuditSink),
-	// invoked under the audit lock so sink order matches ring order.
-	// Nil for the (default) ring-only tenant. Set before traffic
-	// starts, like tel.
-	auditSink func(monitor.Decision)
 
 	mu    sync.RWMutex // guards procs
 	procs map[int]*sessionProc
@@ -59,36 +50,16 @@ type sessionProc struct {
 	slot kernel.StampSlot
 }
 
-// sessionAudit is the per-session audit ring: same fill-in-place ring
-// discipline as a monitor audit shard, scoped to one tenant.
-type sessionAudit struct {
-	mu      sync.Mutex
-	ring    []monitor.Decision // cap auditCap, allocated lazily
-	head    int
-	n       int
-	dropped uint64
-}
-
-// sessionStats are one tenant's activity counters.
-type sessionStats struct {
-	notifications atomic.Uint64
-	grants        atomic.Uint64
-	denials       atomic.Uint64
-	alerts        atomic.Uint64
-	spawns        atomic.Uint64
-	exits         atomic.Uint64
-}
-
-// sessionTel bundles a per-session recorder with pre-resolved handles
-// so an instrumented session's Decide stays allocation-free.
+// sessionTel holds a per-session recorder's pre-resolved handles so an
+// instrumented session's Decide stays allocation-free.
 type sessionTel struct {
-	rec     *telemetry.Recorder
 	grants  *telemetry.Counter
 	denials *telemetry.Counter
-	latency *telemetry.LatencyHist
 }
 
 // SessionStats is the exported snapshot of one session's counters.
+// Alerts counts alerts due: a decision on an op in the alert table
+// raises one on a grant and on a (blocked) denial alike.
 type SessionStats struct {
 	Notifications uint64
 	Grants        uint64
@@ -115,60 +86,9 @@ func (s *Session) SetTelemetry(rec *telemetry.Recorder) {
 		return
 	}
 	s.tel = &sessionTel{
-		rec:     rec,
 		grants:  rec.Counter("fleet", "decisions", "verdict=grant"),
 		denials: rec.Counter("fleet", "decisions", "verdict=deny"),
-		latency: &telemetry.LatencyHist{},
 	}
-}
-
-// Telemetry returns the session's recorder (nil when uninstrumented).
-func (s *Session) Telemetry() *telemetry.Recorder {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.rec
-}
-
-// LatencyHist returns the session's decision-latency histogram (nil
-// when uninstrumented).
-func (s *Session) LatencyHist() *telemetry.LatencyHist {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.latency
-}
-
-// SetAuditSink attaches a callback that receives every decision the
-// session audits, in audit order — the bridge from the bounded
-// per-session ring to a durable store (auditstore.SessionSink). Nil
-// detaches. Like SetTelemetry it must be set before traffic starts;
-// the callback runs inside the audit critical section and must not
-// block or call back into the session.
-func (s *Session) SetAuditSink(fn func(monitor.Decision)) {
-	s.auditSink = fn
-}
-
-// SetDegraded flips this session into fail-closed degraded mode.
-func (s *Session) SetDegraded(reason string) {
-	if reason == "" {
-		reason = "trusted component failure"
-	}
-	s.degraded.Store(&reason)
-}
-
-// ClearDegraded returns the session to normal operation.
-func (s *Session) ClearDegraded() {
-	s.degraded.Store(nil)
-}
-
-// DegradedReason returns the degradation reason and whether the
-// session is currently degraded.
-func (s *Session) DegradedReason() (string, bool) {
-	if p := s.degraded.Load(); p != nil {
-		return *p, true
-	}
-	return "", false
 }
 
 // Spawn creates a fresh process in this session with no interaction
@@ -184,7 +104,7 @@ func (s *Session) Spawn() (int, error) {
 	}
 	s.procs[pid] = &sessionProc{}
 	s.mu.Unlock()
-	s.stats.spawns.Add(1)
+	s.spawns.Add(1)
 	return pid, nil
 }
 
@@ -208,7 +128,7 @@ func (s *Session) Fork(parent int) (int, error) {
 	s.mu.Lock()
 	s.procs[pid] = child
 	s.mu.Unlock()
-	s.stats.spawns.Add(1)
+	s.spawns.Add(1)
 	return pid, nil
 }
 
@@ -223,7 +143,7 @@ func (s *Session) Exit(pid int) error {
 	if !ok {
 		return fmt.Errorf("session %d exit pid %d: %w", s.id, pid, ErrNoSuchProcess)
 	}
-	s.stats.exits.Add(1)
+	s.exits.Add(1)
 	return nil
 }
 
@@ -254,23 +174,23 @@ func (s *Session) NotifyNanos(pid int, nanos int64) error {
 		return fmt.Errorf("session %d notify pid %d: %w", s.id, pid, ErrNoSuchProcess)
 	}
 	p.slot.Adopt(time.Unix(0, nanos).UTC(), telemetry.SpanContext{})
-	s.stats.notifications.Add(1)
+	s.CountNotify()
 	return nil
 }
 
 // Decide answers a permission query Q_{A,t} against the shared Tables
 // snapshot and this session's private stamp store, appending to the
-// session's audit ring. The reason strings are exactly the monitor's —
-// both paths run monitor.Policy.Evaluate — which is what the
-// fleet ≡ standalone equivalence property pins.
+// session's audit ring. Verdicts, reasons and counts are exactly the
+// Monitor's — both run monitor.Core.Decide — which is what the
+// fleet ≡ standalone ≡ Monitor equivalence property pins.
 func (s *Session) Decide(pid int, op monitor.Op, opTime time.Time) (monitor.Verdict, error) {
 	return s.DecideNanos(pid, op, opTime.UnixNano())
 }
 
 // DecideNanos is Decide with the op time as unix nanoseconds. It is
 // the fleet's hot path: one atomic Tables load, one striped map read,
-// two atomic stamp loads, Policy.Evaluate, and a fill-in-place audit
-// append — zero allocations in steady state.
+// one atomic stamp load, and the core's decision sequence — zero
+// allocations in steady state.
 func (s *Session) DecideNanos(pid int, op monitor.Op, nanos int64) (monitor.Verdict, error) {
 	if s.closed.Load() {
 		return 0, ErrSessionClosed
@@ -286,113 +206,32 @@ func (s *Session) DecideNanos(pid int, op monitor.Op, nanos int64) (monitor.Verd
 	if p != nil {
 		stamp = p.slot.Time()
 	}
-	degraded := ""
-	if dp := s.degraded.Load(); dp != nil {
-		degraded = *dp
-	}
-
-	pol := tables.policy
-	verdict, reason := pol.Evaluate(monitor.Query{
-		OpTime:   opTime,
-		Stamp:    stamp,
-		Degraded: degraded,
-		Exists:   p != nil,
-		// Sessions carry no ptrace state: the guard is a single-desktop
-		// debugging defence, and a fleet tenant's debugger lives inside
-		// the tenant.
-		Disabled: false,
-	})
-
-	d := monitor.Decision{
-		PID: pid, Op: op, OpTime: opTime, Stamp: stamp,
-		Verdict: verdict, Reason: reason,
-		Degraded: pol.DegradedDenial(degraded),
-	}
-	if verdict == monitor.VerdictGrant {
-		s.stats.grants.Add(1)
-		if tables.alertOps[op] {
-			// A real deployment routes the V_{A,op} alert to the
-			// tenant's own display server; the fleet core records that
-			// one was due.
-			s.stats.alerts.Add(1)
-		}
-	} else {
-		s.stats.denials.Add(1)
-	}
-	s.appendAudit(&d)
+	// Sessions carry no ptrace state (Disabled stays false): the guard
+	// is a single-desktop debugging defence, and a fleet tenant's
+	// debugger lives inside the tenant. A real deployment routes a due
+	// alert to the tenant's own display server; the core counts it.
+	d := monitor.Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp}
+	v := s.Core.Decide(tables.policy, &d, p != nil, false, tables.alertOps[op])
 	if t := s.tel; t != nil {
-		if verdict == monitor.VerdictGrant {
+		if v == monitor.VerdictGrant {
 			t.grants.Add(1)
 		} else {
 			t.denials.Add(1)
 		}
 	}
-	return verdict, nil
-}
-
-// appendAudit appends one decision to the session ring, oldest-out,
-// and forwards it to the audit sink when one is attached.
-func (s *Session) appendAudit(d *monitor.Decision) {
-	if s.auditCap == 0 {
-		if sink := s.auditSink; sink != nil {
-			sink(*d)
-		}
-		return
-	}
-	a := &s.audit
-	a.mu.Lock()
-	if a.ring == nil {
-		a.ring = make([]monitor.Decision, s.auditCap)
-	}
-	var e *monitor.Decision
-	if a.n == s.auditCap {
-		e = &a.ring[a.head]
-		a.head = (a.head + 1) % s.auditCap
-		a.dropped++
-	} else {
-		e = &a.ring[(a.head+a.n)%s.auditCap]
-		a.n++
-	}
-	*e = *d
-	if sink := s.auditSink; sink != nil {
-		// Under a.mu: the sink sees decisions in exactly ring order.
-		sink(*d)
-	}
-	a.mu.Unlock()
-}
-
-// Audit returns a copy of the session's audit ring, oldest first.
-func (s *Session) Audit() []monitor.Decision {
-	a := &s.audit
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.n == 0 {
-		return nil
-	}
-	out := make([]monitor.Decision, a.n)
-	for i := 0; i < a.n; i++ {
-		out[i] = a.ring[(a.head+i)%s.auditCap]
-	}
-	return out
-}
-
-// DroppedAudit reports how many audit records this session evicted.
-func (s *Session) DroppedAudit() uint64 {
-	a := &s.audit
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
+	return v, nil
 }
 
 // StatsSnapshot returns a copy of the session counters.
 func (s *Session) StatsSnapshot() SessionStats {
+	st := s.Core.StatsSnapshot()
 	return SessionStats{
-		Notifications: s.stats.notifications.Load(),
-		Grants:        s.stats.grants.Load(),
-		Denials:       s.stats.denials.Load(),
-		Alerts:        s.stats.alerts.Load(),
-		Spawns:        s.stats.spawns.Load(),
-		Exits:         s.stats.exits.Load(),
+		Notifications: st.Notifications,
+		Grants:        st.Grants,
+		Denials:       st.Denials,
+		Alerts:        st.AlertsSent,
+		Spawns:        s.spawns.Load(),
+		Exits:         s.exits.Load(),
 		DroppedAudit:  s.DroppedAudit(),
 	}
 }

@@ -228,49 +228,19 @@ func (k *Kernel) SensitiveClassOf(path string) (devfs.Class, bool) {
 	return c, ok
 }
 
-// --- monitor.TaskStore --------------------------------------------------
+// --- monitor.TaskTable --------------------------------------------------
 
-// taskStore adapts the kernel's process table to monitor.TaskStore
+// taskStore adapts the kernel's process table to monitor.TaskTable
 // without exporting those methods on Kernel itself.
 type taskStore Kernel
 
-var _ monitor.TaskStore = (*taskStore)(nil)
-var _ monitor.SpanTaskStore = (*taskStore)(nil)
-var _ monitor.FastTaskStore = (*taskStore)(nil)
-
-// InteractionStamp implements monitor.TaskStore.
-func (ts *taskStore) InteractionStamp(pid int) (time.Time, bool) {
-	k := (*Kernel)(ts)
-	p, ok := k.table.get(pid)
-	if !ok {
-		return time.Time{}, false
-	}
-	stamp := p.slot.Time()
-	if p.pid.Load() != int64(pid) {
-		// The struct was recycled between the table lookup and the
-		// stamp read (Process structs are type-stable); the process we
-		// resolved is gone.
-		return time.Time{}, false
-	}
-	return stamp, true
-}
-
-// SetInteractionStamp implements monitor.TaskStore with newest-wins
-// semantics.
-func (ts *taskStore) SetInteractionStamp(pid int, t time.Time) error {
-	// The stamp changes hands without trace context: whatever span
-	// minted the previous stamp no longer describes it, so adoptStamp
-	// clears the span alongside the stamp.
-	return ts.SetInteractionStampSpan(pid, t, telemetry.SpanContext{})
-}
-
-// SetInteractionStampSpan implements monitor.SpanTaskStore: the stamp
-// and the span that minted it travel as one newest-wins unit, exactly
-// like the stamp alone does. The write is a lock-free CAS-max, run
-// under the pid's shard read lock: Exit's table.remove needs the write
-// lock and reincarnation happens only after remove, so a stamp can
-// never be adopted onto a recycled struct — the write-side counterpart
-// of the read-side pid re-check.
+// SetInteractionStampSpan implements monitor.TaskTable: the stamp and
+// the span that minted it travel as one newest-wins unit (a zero span
+// clears the previous one, which no longer describes the stamp). The
+// write is a lock-free CAS-max, run under the pid's shard read lock:
+// Exit's table.remove needs the write lock and reincarnation happens
+// only after remove, so a stamp can never be adopted onto a recycled
+// struct — the write-side counterpart of the read-side pid re-check.
 func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error {
 	k := (*Kernel)(ts)
 	sh := k.table.shard(pid)
@@ -286,38 +256,15 @@ func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry
 	return nil
 }
 
-// InteractionSpan implements monitor.SpanTaskStore.
-func (ts *taskStore) InteractionSpan(pid int) (telemetry.SpanContext, bool) {
-	k := (*Kernel)(ts)
-	p, ok := k.table.get(pid)
-	if !ok {
-		return telemetry.SpanContext{}, false
-	}
-	sc := p.StampSpan()
-	if p.pid.Load() != int64(pid) {
-		return telemetry.SpanContext{}, false
-	}
-	return sc, true
-}
-
-// PermissionsDisabled implements monitor.TaskStore: a process being
-// ptraced has all sensitive permissions disabled while the guard is on.
-func (ts *taskStore) PermissionsDisabled(pid int) bool {
-	k := (*Kernel)(ts)
-	if !k.ptraceGuard.Load() {
-		return false
-	}
-	p, ok := k.table.get(pid)
-	return ok && p.tracedBy.Load() != 0 && p.pid.Load() == int64(pid)
-}
-
-// InteractionView implements monitor.FastTaskStore: everything a
+// InteractionView implements monitor.TaskTable: everything a
 // permission decision needs in one shard read-lock plus a handful of
-// atomic loads. The final pid re-check is the type-stable-memory
-// discipline: if the struct was reincarnated as a different process
-// between the lookup and the loads, the new pid (stored first during
-// reincarnation, so seq-cst ordering guarantees any new-incarnation
-// data implies a visible new pid) turns the read into a miss.
+// atomic loads. A process being ptraced has its permissions disabled
+// while the guard is on. The final pid re-check is the
+// type-stable-memory discipline: if the struct was reincarnated as a
+// different process between the lookup and the loads, the new pid
+// (stored first during reincarnation, so seq-cst ordering guarantees
+// any new-incarnation data implies a visible new pid) turns the read
+// into a miss.
 func (ts *taskStore) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
 	k := (*Kernel)(ts)
 	p, ok := k.table.get(pid)

@@ -11,24 +11,26 @@
 // settles on δ = 2 s).
 //
 // Following the paper's implementation, interaction timestamps live in
-// the process table itself (the task_struct analogue), so the monitor
-// operates on a TaskStore interface implemented by the kernel; the
-// monitor owns the decision logic, the audit log, and alert dispatch.
+// the process table itself (the task_struct analogue): the monitor
+// reads and writes them through the kernel's TaskTable. Everything
+// after the table read is the decision Core — Policy.Evaluate, the
+// activity counters, the audit log and the degraded flag — which is
+// the same code a fleet session (internal/fleet) runs, so the
+// single-desktop Monitor is a one-session fleet plus kernel glue:
+// telemetry, probes and alert routing.
 //
 // The monitor is built to scale across cores: it holds no global lock.
 // Mode flags (degraded, alert sink) and activity counters are atomics,
-// the audit log is lock-striped by pid (see auditShards), and all
+// the audit log is lock-striped by pid (auditShards rings), and all
 // telemetry on the decision path flows through pre-resolved handles, so
 // concurrent Decide calls on different processes share no contended
-// cache line beyond the telemetry rings.
+// cache line beyond the counters and the telemetry rings.
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,50 +84,20 @@ func (v Verdict) String() string {
 	}
 }
 
-// TaskStore is the kernel-side process table view the monitor needs:
-// where interaction stamps live and whether a process's permissions are
-// administratively disabled (the ptrace guard).
-type TaskStore interface {
-	// InteractionStamp returns the most recent authentic-interaction
-	// time for pid. ok is false if the process does not exist.
-	InteractionStamp(pid int) (stamp time.Time, ok bool)
-	// SetInteractionStamp records an interaction time for pid,
-	// only if newer than the currently stored stamp.
-	SetInteractionStamp(pid int, t time.Time) error
-	// PermissionsDisabled reports whether pid's sensitive-resource
-	// permissions are force-disabled (e.g. it is being ptraced).
-	PermissionsDisabled(pid int) bool
-}
-
-// SpanTaskStore is an optional extension of TaskStore for stores that
-// can remember which trace span minted each interaction stamp, so that
-// a later permission query can be linked to the interaction that
-// enables it. Stores that do not implement it still work; traces then
-// break at the stamp boundary instead of connecting through it.
-type SpanTaskStore interface {
-	TaskStore
+// TaskTable is the kernel-side process table view the monitor needs:
+// where interaction stamps live, the span that minted each, and the
+// ptrace guard. The kernel's sharded process table answers a view with
+// a handful of atomic loads, so Decide takes no lock at all.
+type TaskTable interface {
+	// InteractionView returns pid's most recent authentic-interaction
+	// stamp, the span that minted it, and whether its permissions are
+	// force-disabled (it is being ptraced). ok is false if the process
+	// does not exist.
+	InteractionView(pid int) (stamp time.Time, ctx telemetry.SpanContext, disabled bool, ok bool)
 	// SetInteractionStampSpan records an interaction time for pid
 	// together with the span that delivered it, only if newer than the
-	// currently stored stamp (the span travels with the stamp,
-	// newest-wins as one unit).
+	// currently stored stamp (stamp and span are one newest-wins unit).
 	SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error
-	// InteractionSpan returns the span context stored alongside pid's
-	// current interaction stamp. ok is false if the process does not
-	// exist.
-	InteractionSpan(pid int) (telemetry.SpanContext, bool)
-}
-
-// FastTaskStore is an optional extension of TaskStore for stores that
-// can answer everything a decision needs in one call — stamp, stamp
-// span, and the ptrace-guard flag. The sharded kernel table backs this
-// with three atomic loads, so Decide against it takes no lock at all;
-// plain TaskStores fall back to the interface calls.
-type FastTaskStore interface {
-	TaskStore
-	// InteractionView returns pid's interaction stamp, the span that
-	// minted it, and whether permissions are force-disabled. ok is
-	// false if the process does not exist.
-	InteractionView(pid int) (stamp time.Time, ctx telemetry.SpanContext, disabled bool, ok bool)
 }
 
 // AlertRequest asks the display manager to show a trusted-output visual
@@ -182,8 +154,9 @@ type Config struct {
 	// audit records are produced but everything is granted. Used by
 	// the unprotected baseline machine in the §V-D experiment.
 	Enforce bool
-	// AlertOps lists operations whose grants raise a visual alert
-	// *from the kernel side* (V_{A,op} over the netlink channel).
+	// AlertOps lists operations whose decisions raise a visual alert
+	// *from the kernel side* (V_{A,op} over the netlink channel; a
+	// denial's alert is marked Blocked).
 	// That covers kernel-mediated hardware devices; for
 	// display-manager-mediated resources the display manager raises
 	// the alert itself (screen capture) or stays silent by design
@@ -206,48 +179,26 @@ type Config struct {
 	Probes *probe.Registry
 }
 
-// defaultAlertOps covers the kernel-mediated device operations. Screen
-// capture alerts are raised by the display manager directly (it can
-// identify the requesting process without kernel assistance, §III-C),
-// and clipboard operations are silent but logged.
-func defaultAlertOps() map[Op]bool {
-	return map[Op]bool{OpMic: true, OpCam: true, OpOther: true}
+// AlertOpSet builds an alert-op table from a configured list; nil
+// selects the kernel-mediated device operations. Screen capture alerts
+// are raised by the display manager directly (it can identify the
+// requesting process without kernel assistance, §III-C), and clipboard
+// operations are silent but logged.
+func AlertOpSet(ops []Op) map[Op]bool {
+	if ops == nil {
+		ops = []Op{OpMic, OpCam, OpOther}
+	}
+	set := make(map[Op]bool, len(ops))
+	for _, op := range ops {
+		set[op] = true
+	}
+	return set
 }
 
-// auditShards stripes the audit log. Power of two so the shard index is
-// a mask; 8 shards keep contention negligible at the core counts the
-// ROADMAP targets while costing 8 small rings.
+// auditShards stripes the Monitor's audit log by pid. Power of two so
+// the ring index is a mask; 8 shards keep contention negligible at the
+// core counts the ROADMAP targets while costing 8 small rings.
 const auditShards = 8
-
-// auditEntry tags a decision with its global sequence number so a
-// merged view can restore total order across shards.
-type auditEntry struct {
-	seq uint64
-	d   Decision
-}
-
-// auditShard is one stripe of the audit log: an independent ring with
-// its own lock and drop counter.
-type auditShard struct {
-	mu      sync.Mutex
-	ring    []auditEntry // capacity auditCap, allocated lazily
-	head    int          // index of the oldest record
-	n       int
-	dropped uint64
-}
-
-// monitorStats are the activity counters, all atomics so the decision
-// path never locks to count. Queries are not counted separately:
-// every query resolves to exactly one of grant or deny, so the total
-// is derived at snapshot time and the hot path pays one atomic
-// increment instead of two.
-type monitorStats struct {
-	notifications   atomic.Uint64
-	grants          atomic.Uint64
-	denials         atomic.Uint64
-	alertsSent      atomic.Uint64
-	degradedDenials atomic.Uint64
-}
 
 // opIndex maps a known op to its dense index in knownOps order, -1
 // for unknown ops. The decision path indexes its pre-resolved handle
@@ -275,18 +226,13 @@ func opIndex(op Op) int {
 // Monitor is the kernel permission monitor. It is safe for concurrent
 // use and holds no global lock: see the package comment.
 type Monitor struct {
-	clk       clock.Clock
-	tasks     TaskStore
-	spanTasks SpanTaskStore // tasks, if it implements SpanTaskStore
-	fastTasks FastTaskStore // tasks, if it implements FastTaskStore
-	threshold time.Duration
-	force     bool
-	enforce   bool
-	alertOps  map[Op]bool // read-only after New (AlertOperations view)
+	core     Core
+	tasks    TaskTable
+	pol      Policy
+	alertOps map[Op]bool // read-only after New
 	// alertFast mirrors alertOps indexed by opIndex: the decision path
 	// tests membership without hashing the op string.
 	alertFast [6]bool
-	auditCap  int
 	tel       *telemetry.Recorder // nil-safe; nil means disabled
 
 	// Probe attach points, resolved once at construction. Each costs
@@ -296,11 +242,7 @@ type Monitor struct {
 	probeAudit  *probe.Hook // monitor.audit
 	probeDecide *probe.Hook // kernel.decide
 
-	alertFn  atomic.Value           // AlertFunc (typed nil disables)
-	degraded atomic.Pointer[string] // nil: healthy; else fail-closed reason
-	seq      atomic.Uint64          // global audit sequence
-	stats    monitorStats
-	audit    [auditShards]auditShard
+	alertFn atomic.Value // AlertFunc (typed nil disables)
 
 	// Pre-resolved telemetry handles (nil handles no-op when telemetry
 	// is disabled; decisionCounters/stampAge are read-only after New).
@@ -315,7 +257,10 @@ type Monitor struct {
 	stampAge         []*telemetry.Histogram // indexed by opIndex(op)
 }
 
-// Stats aggregates monitor activity.
+// Stats aggregates monitor activity. AlertsSent counts alerts due: a
+// decision on an op in the alert set raises one on a grant and on a
+// denial alike (a denial's is marked Blocked). The Monitor counts them
+// only while an alert sink is installed.
 type Stats struct {
 	Notifications   uint64
 	Queries         uint64
@@ -325,13 +270,13 @@ type Stats struct {
 	DegradedDenials uint64
 }
 
-// New constructs a Monitor over the given task store.
-func New(clk clock.Clock, tasks TaskStore, cfg Config) (*Monitor, error) {
+// New constructs a Monitor over the given task table.
+func New(clk clock.Clock, tasks TaskTable, cfg Config) (*Monitor, error) {
 	if clk == nil {
 		return nil, errors.New("monitor: nil clock")
 	}
 	if tasks == nil {
-		return nil, errors.New("monitor: nil task store")
+		return nil, errors.New("monitor: nil task table")
 	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
@@ -340,34 +285,23 @@ func New(clk clock.Clock, tasks TaskStore, cfg Config) (*Monitor, error) {
 	if threshold < 0 {
 		return nil, fmt.Errorf("monitor: negative threshold %v", threshold)
 	}
-	alertOps := defaultAlertOps()
-	if cfg.AlertOps != nil {
-		alertOps = make(map[Op]bool, len(cfg.AlertOps))
-		for _, op := range cfg.AlertOps {
-			alertOps[op] = true
-		}
-	}
 	auditCap := cfg.AuditCapacity
 	if auditCap == 0 {
 		auditCap = 1024
 	}
 	m := &Monitor{
-		clk:       clk,
-		tasks:     tasks,
-		threshold: threshold,
-		force:     cfg.ForceGrant,
-		enforce:   cfg.Enforce,
-		alertOps:  alertOps,
-		auditCap:  auditCap,
-		tel:       cfg.Telemetry,
+		tasks:    tasks,
+		pol:      Policy{Threshold: threshold, Force: cfg.ForceGrant, Enforce: cfg.Enforce},
+		alertOps: AlertOpSet(cfg.AlertOps),
+		tel:      cfg.Telemetry,
 	}
-	for op := range alertOps {
+	m.core.Init(auditCap)
+	m.core.rings = make([]auditRing, auditShards)
+	for op := range m.alertOps {
 		if i := opIndex(op); i >= 0 {
 			m.alertFast[i] = true
 		}
 	}
-	m.spanTasks, _ = tasks.(SpanTaskStore)
-	m.fastTasks, _ = tasks.(FastTaskStore)
 	m.probeEval = cfg.Probes.Hook(probe.HookMonitorEvaluate)
 	m.probeAudit = cfg.Probes.Hook(probe.HookMonitorAudit)
 	m.probeDecide = cfg.Probes.Hook(probe.HookKernelDecide)
@@ -394,11 +328,8 @@ func New(clk clock.Clock, tasks TaskStore, cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// Telemetry returns the monitor's recorder (nil when disabled).
-func (m *Monitor) Telemetry() *telemetry.Recorder { return m.tel }
-
 // Threshold returns δ.
-func (m *Monitor) Threshold() time.Duration { return m.threshold }
+func (m *Monitor) Threshold() time.Duration { return m.pol.Threshold }
 
 // SetAlertFunc installs the trusted-output alert sink. Passing nil
 // disables alert dispatch.
@@ -445,28 +376,22 @@ func (m *Monitor) Notify(pid int, t time.Time) error {
 
 // NotifyCtx is Notify carrying the trace context of the input event
 // that caused the notification. The notify span is stored in the task
-// struct alongside the stamp it mints (when the store supports it), so
-// a later permission query within δ links back to this interaction.
+// struct alongside the stamp it mints, so a later permission query
+// within δ links back to this interaction.
 //
-// Against a sharded store the stamp write is a lock-free CAS-max; this
-// method itself takes no lock either.
+// Against the kernel's sharded table the stamp write is a lock-free
+// CAS-max; this method itself takes no lock either.
 func (m *Monitor) NotifyCtx(ctx telemetry.SpanContext, pid int, t time.Time) error {
 	span := m.tel.StartSpan(ctx, "monitor", "notify")
 	defer span.End()
-	var err error
-	if m.spanTasks != nil {
-		err = m.spanTasks.SetInteractionStampSpan(pid, t, span.Context())
-	} else {
-		err = m.tasks.SetInteractionStamp(pid, t)
-	}
-	if err != nil {
+	if err := m.tasks.SetInteractionStampSpan(pid, t, span.Context()); err != nil {
 		if m.tel.Enabled() {
 			span.Annotate("error", err.Error())
 			m.mNotifyErrors.Add(1)
 		}
 		return fmt.Errorf("monitor notify pid %d: %w", pid, err)
 	}
-	m.stats.notifications.Add(1)
+	m.core.CountNotify()
 	if m.tel.Enabled() {
 		span.AnnotateInt("pid", int64(pid))
 		m.mNotifications.Add(1)
@@ -481,11 +406,9 @@ func (m *Monitor) NotifyCtx(ctx telemetry.SpanContext, pid int, t time.Time) err
 // practice the netlink channel — is detected dead: a monitor that
 // cannot reach its sensors' user must block the sensors.
 func (m *Monitor) SetDegraded(reason string) {
-	if reason == "" {
-		reason = "trusted component failure"
-	}
-	m.degraded.Store(&reason)
+	m.core.SetDegraded(reason)
 	if m.tel.Enabled() {
+		reason, _ = m.core.DegradedReason()
 		m.mDegradations.Add(1)
 		// A degradation is a flight-recorder trip: snapshot the ring so
 		// the events leading up to the trusted-component failure are
@@ -497,18 +420,13 @@ func (m *Monitor) SetDegraded(reason string) {
 // ClearDegraded returns the monitor to normal operation (the channel
 // was re-established).
 func (m *Monitor) ClearDegraded() {
-	m.degraded.Store(nil)
+	m.core.ClearDegraded()
 	m.tel.RecordEvent(telemetry.SpanContext{}, "monitor", "recovery", "degraded mode cleared")
 }
 
 // DegradedReason returns the degradation reason and whether the
 // monitor is currently degraded.
-func (m *Monitor) DegradedReason() (string, bool) {
-	if p := m.degraded.Load(); p != nil {
-		return *p, true
-	}
-	return "", false
-}
+func (m *Monitor) DegradedReason() (string, bool) { return m.core.DegradedReason() }
 
 // probeDevs maps opIndex to the probe-layer device class.
 var probeDevs = [6]probe.Dev{
@@ -542,44 +460,27 @@ func probeEvent(kind probe.Kind, d *Decision) probe.Event {
 	return ev
 }
 
-// appendAudit appends one decision to its pid's audit shard.
-func (m *Monitor) appendAudit(d *Decision) {
+// audited fires the audit and decide attach points for a decision the
+// core has just audited. Every audit append is mirrored to a telemetry
+// counter so the audit log and overhaul-top can never silently
+// disagree.
+func (m *Monitor) audited(d *Decision) {
 	if m.probeAudit.Wants(int64(d.PID)) {
 		m.probeAudit.Emit(probeEvent(probe.KindAudit, d))
 	}
-	// Every audit append is mirrored to a telemetry counter so the
-	// audit log and overhaul-top can never silently disagree.
 	m.mAuditAppends.Add(1)
-	seq := m.seq.Add(1)
-	sh := &m.audit[uint(d.PID)&(auditShards-1)]
-	sh.mu.Lock()
-	if sh.ring == nil {
-		// Grown lazily but allocated once per shard: the ring must not
-		// churn the allocator on the hot decision path.
-		sh.ring = make([]auditEntry, m.auditCap)
+	if m.probeDecide.Wants(int64(d.PID)) {
+		m.probeDecide.Emit(probeEvent(probe.KindDecide, d))
 	}
-	var e *auditEntry
-	if sh.n == m.auditCap {
-		e = &sh.ring[sh.head]
-		sh.head = (sh.head + 1) % m.auditCap
-		sh.dropped++
-	} else {
-		e = &sh.ring[(sh.head+sh.n)%m.auditCap]
-		sh.n++
-	}
-	// Filled in place under the shard lock: the Decision is wide
-	// enough that an extra construct-then-copy shows up in profiles.
-	e.seq = seq
-	e.d = *d
-	sh.mu.Unlock()
 }
 
 // Decide answers a permission query Q_{A,t}: may pid perform op at
 // opTime? It consults the process's interaction stamp, applies the
-// temporal-proximity rule, appends an audit record, and — for granted
-// operations in the alert set — dispatches a visual alert request.
-// While the monitor is degraded, every query denies (fail closed) with
-// the distinct protection-degraded reason.
+// temporal-proximity rule, appends an audit record, and — for
+// operations in the alert set — dispatches a visual alert request
+// (marked Blocked on a denial). While the monitor is degraded, every
+// query denies (fail closed) with the distinct protection-degraded
+// reason.
 func (m *Monitor) Decide(pid int, op Op, opTime time.Time) Verdict {
 	return m.DecideCtx(telemetry.SpanContext{}, pid, op, opTime)
 }
@@ -591,99 +492,46 @@ func (m *Monitor) Decide(pid int, op Op, opTime time.Time) Verdict {
 // verified by BenchmarkDecideTelemetryDisabled; with telemetry enabled
 // the only allocation is the retained decision span.
 func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time) Verdict {
-	// One read of the task store up front. Fast stores answer with a
-	// handful of atomic loads; plain stores cost the same interface
-	// calls the single-lock implementation made.
-	var (
-		stamp    time.Time
-		exists   bool
-		disabled bool
-	)
-	if m.fastTasks != nil {
-		var sc telemetry.SpanContext
-		stamp, sc, disabled, exists = m.fastTasks.InteractionView(pid)
-		if m.tel.Enabled() && !ctx.Valid() {
-			// No explicit parent: join the trace of the interaction
-			// that minted the process's current stamp. This is what
-			// connects a bare Decide to its enabling input.
-			ctx = sc
-		}
-	} else {
-		if m.tel.Enabled() && !ctx.Valid() && m.spanTasks != nil {
-			if sc, found := m.spanTasks.InteractionSpan(pid); found {
-				ctx = sc
-			}
-		}
-		stamp, exists = m.tasks.InteractionStamp(pid)
-		if exists {
-			disabled = m.tasks.PermissionsDisabled(pid)
-		}
+	stamp, sc, disabled, exists := m.tasks.InteractionView(pid)
+	if m.tel.Enabled() && !ctx.Valid() {
+		// No explicit parent: join the trace of the interaction that
+		// minted the process's current stamp. This is what connects a
+		// bare Decide to its enabling input.
+		ctx = sc
 	}
 	span := m.tel.StartSpan(ctx, "monitor", "decide")
 	defer span.End()
 
-	degraded := ""
-	if p := m.degraded.Load(); p != nil {
-		degraded = *p
-	}
-
-	// The verdict itself comes from the extracted Policy rule — the same
-	// value a fleet session applies — so the single-desktop Monitor and
-	// internal/fleet can never drift apart on decision semantics.
-	pol := Policy{Threshold: m.threshold, Force: m.force, Enforce: m.enforce}
-	verdict, reason := pol.Evaluate(Query{
-		OpTime:   opTime,
-		Stamp:    stamp,
-		Degraded: degraded,
-		Exists:   exists,
-		Disabled: disabled,
-	})
-
-	isDegraded := pol.DegradedDenial(degraded)
-	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: verdict, Reason: reason, Degraded: isDegraded}
+	alertFn := m.alertSink()
+	oi := opIndex(op)
+	alertOp := alertFn != nil && (oi >= 0 && m.alertFast[oi] || oi < 0 && m.alertOps[op])
+	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp}
+	verdict := m.core.Decide(m.pol, &d, exists, disabled, alertOp)
 	if m.probeEval.Wants(int64(pid)) {
 		m.probeEval.Emit(probeEvent(probe.KindEvaluate, &d))
 	}
-
-	if verdict == VerdictGrant {
-		m.stats.grants.Add(1)
-	} else {
-		m.stats.denials.Add(1)
-		if isDegraded {
-			m.stats.degradedDenials.Add(1)
-		}
-	}
-	m.appendAudit(&d)
-	if m.probeDecide.Wants(int64(pid)) {
-		m.probeDecide.Emit(probeEvent(probe.KindDecide, &d))
-	}
-	alertFn := m.alertSink()
-	oi := opIndex(op)
-	sendAlert := alertFn != nil && (oi >= 0 && m.alertFast[oi] || oi < 0 && m.alertOps[op])
-	if sendAlert {
-		m.stats.alertsSent.Add(1)
-	}
+	m.audited(&d)
 
 	if m.tel.Enabled() {
-		span.AnnotateDecision(int64(pid), string(op), verdict.String(), reason)
+		span.AnnotateDecision(int64(pid), string(op), verdict.String(), d.Reason)
 		m.countDecision(op, verdict)
 		if !stamp.IsZero() {
 			// Distribution of stamp ages at decision time: the paper's δ
 			// sweep (§V-A) in histogram form.
 			m.observeStampAge(op, opTime.Sub(stamp))
 		}
-		m.tel.RecordDecision(span.Context(), "monitor", pid, string(op), verdict.String(), reason)
+		m.tel.RecordDecision(span.Context(), "monitor", pid, string(op), verdict.String(), d.Reason)
 		if verdict == VerdictDeny {
 			// Every denial trips the flight recorder: the dump's final
 			// events carry the deny reason plus whatever preceded it
 			// (injected faults, channel loss, stale stamps).
 			m.tel.TripFlight(span.Context(), "monitor",
-				"deny pid="+strconv.Itoa(pid)+" op="+string(op)+": "+reason)
+				"deny pid="+strconv.Itoa(pid)+" op="+string(op)+": "+d.Reason)
 		}
 	}
 
-	if sendAlert {
-		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: isDegraded, Ctx: span.Context()})
+	if alertOp {
+		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: d.Degraded, Ctx: span.Context()})
 	}
 	return verdict
 }
@@ -700,13 +548,10 @@ func (m *Monitor) RecordDenial(pid int, op Op, opTime time.Time, reason string) 
 // RecordDenialCtx is RecordDenial carrying the trace context of the
 // failed operation.
 func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time, reason string) {
-	stamp, _ := m.tasks.InteractionStamp(pid)
+	stamp, _, _, _ := m.tasks.InteractionView(pid)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: VerdictDeny, Reason: reason}
-	m.stats.denials.Add(1)
-	m.appendAudit(&d)
-	if m.probeDecide.Wants(int64(pid)) {
-		m.probeDecide.Emit(probeEvent(probe.KindDecide, &d))
-	}
+	m.core.record(&d, false)
+	m.audited(&d)
 	if m.tel.Enabled() {
 		m.countDecision(op, VerdictDeny)
 		m.mDenialsRecorded.Add(1)
@@ -715,90 +560,12 @@ func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opT
 	}
 }
 
-// collectAudit gathers entries from the selected shards (all when
-// pid < 0, else just pid's shard) and restores total order by sequence
-// number.
-func (m *Monitor) collectAudit(pid int) []auditEntry {
-	var out []auditEntry
-	for i := range m.audit {
-		if pid >= 0 && i != int(uint(pid)&(auditShards-1)) {
-			continue
-		}
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			e := sh.ring[(sh.head+j)%m.auditCap]
-			if pid < 0 || e.d.PID == pid {
-				out = append(out, e)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
 // Audit returns a merged copy of the audit log, oldest first.
-func (m *Monitor) Audit() []Decision {
-	entries := m.collectAudit(-1)
-	out := make([]Decision, len(entries))
-	for i, e := range entries {
-		out[i] = e.d
-	}
-	return out
-}
-
-// AuditFor returns the audit records for one PID, oldest first.
-func (m *Monitor) AuditFor(pid int) []Decision {
-	if pid < 0 {
-		return nil
-	}
-	entries := m.collectAudit(pid)
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]Decision, len(entries))
-	for i, e := range entries {
-		out[i] = e.d
-	}
-	return out
-}
+func (m *Monitor) Audit() []Decision { return m.core.Audit() }
 
 // DroppedAudit reports how many audit records were evicted, summed
 // across shards.
-func (m *Monitor) DroppedAudit() uint64 {
-	var total uint64
-	for i := range m.audit {
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		total += sh.dropped
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (m *Monitor) DroppedAudit() uint64 { return m.core.DroppedAudit() }
 
 // StatsSnapshot returns a copy of the activity counters.
-func (m *Monitor) StatsSnapshot() Stats {
-	grants := m.stats.grants.Load()
-	denials := m.stats.denials.Load()
-	return Stats{
-		Notifications:   m.stats.notifications.Load(),
-		Queries:         grants + denials,
-		Grants:          grants,
-		Denials:         denials,
-		AlertsSent:      m.stats.alertsSent.Load(),
-		DegradedDenials: m.stats.degradedDenials.Load(),
-	}
-}
-
-// ResetAudit clears the audit log (used between experiment phases).
-func (m *Monitor) ResetAudit() {
-	for i := range m.audit {
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		sh.head = 0
-		sh.n = 0
-		sh.dropped = 0
-		sh.mu.Unlock()
-	}
-}
+func (m *Monitor) StatsSnapshot() Stats { return m.core.StatsSnapshot() }

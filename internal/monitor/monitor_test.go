@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/telemetry"
 )
 
-// fakeTasks is a minimal TaskStore.
+// fakeTasks is a minimal mutex-guarded TaskTable. InteractionStamp and
+// SetInteractionStamp are test helpers outside the interface.
 type fakeTasks struct {
 	mu       sync.Mutex
 	stamps   map[int]time.Time
@@ -29,6 +31,10 @@ func (f *fakeTasks) InteractionStamp(pid int) (time.Time, bool) {
 }
 
 func (f *fakeTasks) SetInteractionStamp(pid int, t time.Time) error {
+	return f.SetInteractionStampSpan(pid, t, telemetry.SpanContext{})
+}
+
+func (f *fakeTasks) SetInteractionStampSpan(pid int, t time.Time, _ telemetry.SpanContext) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur, ok := f.stamps[pid]
@@ -41,10 +47,11 @@ func (f *fakeTasks) SetInteractionStamp(pid int, t time.Time) error {
 	return nil
 }
 
-func (f *fakeTasks) PermissionsDisabled(pid int) bool {
+func (f *fakeTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.disabled[pid]
+	t, ok := f.stamps[pid]
+	return t, telemetry.SpanContext{}, ok && f.disabled[pid], ok
 }
 
 func (f *fakeTasks) add(pid int) {
@@ -326,14 +333,15 @@ func TestTemporalProximityProperty(t *testing.T) {
 	}
 }
 
-func TestResetAudit(t *testing.T) {
-	m, tasks, clk := newTestMonitor(t, Config{Enforce: true})
-	tasks.add(1)
-	m.Decide(1, OpCopy, clk.Now())
-	m.ResetAudit()
-	if len(m.Audit()) != 0 {
-		t.Fatal("audit not cleared")
+// auditFor returns m's audit records for one pid, oldest first.
+func auditFor(m *Monitor, pid int) []Decision {
+	var out []Decision
+	for _, d := range m.Audit() {
+		if d.PID == pid {
+			out = append(out, d)
+		}
 	}
+	return out
 }
 
 func TestAuditForAndDropped(t *testing.T) {
@@ -347,11 +355,11 @@ func TestAuditForAndDropped(t *testing.T) {
 		m.Decide(p1, OpCopy, clk.Now())
 	}
 	m.Decide(p2, OpPaste, clk.Now())
-	if got := len(m.AuditFor(p1)); got != 4 {
-		t.Fatalf("AuditFor(p1) = %d, want 4", got)
+	if got := len(auditFor(m, p1)); got != 4 {
+		t.Fatalf("auditFor(p1) = %d, want 4", got)
 	}
-	if got := len(m.AuditFor(p2)); got != 1 {
-		t.Fatalf("AuditFor(p2) = %d, want 1", got)
+	if got := len(auditFor(m, p2)); got != 1 {
+		t.Fatalf("auditFor(p2) = %d, want 1", got)
 	}
 	if m.DroppedAudit() != 0 {
 		t.Fatalf("dropped = %d, want 0", m.DroppedAudit())
@@ -362,8 +370,8 @@ func TestAuditForAndDropped(t *testing.T) {
 	if m.DroppedAudit() != 2 {
 		t.Fatalf("dropped = %d, want 2", m.DroppedAudit())
 	}
-	if got := len(m.AuditFor(p1)); got != 2 {
-		t.Fatalf("AuditFor(p1) after eviction = %d, want 2", got)
+	if got := len(auditFor(m, p1)); got != 2 {
+		t.Fatalf("auditFor(p1) after eviction = %d, want 2", got)
 	}
 }
 
@@ -377,11 +385,11 @@ func TestAuditShardIsolation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Decide(2, OpPaste, clk.Now())
 	}
-	if got := len(m.AuditFor(1)); got != 1 {
-		t.Fatalf("AuditFor(1) = %d, want 1 (cross-shard eviction)", got)
+	if got := len(auditFor(m, 1)); got != 1 {
+		t.Fatalf("auditFor(1) = %d, want 1 (cross-shard eviction)", got)
 	}
-	if got := len(m.AuditFor(2)); got != 3 {
-		t.Fatalf("AuditFor(2) = %d, want 3", got)
+	if got := len(auditFor(m, 2)); got != 3 {
+		t.Fatalf("auditFor(2) = %d, want 3", got)
 	}
 	if m.DroppedAudit() != 7 {
 		t.Fatalf("dropped = %d, want 7", m.DroppedAudit())

@@ -158,8 +158,3 @@ func staleReason(stale, threshold time.Duration) string {
 func (p Policy) DegradedDenial(degraded string) bool {
 	return degraded != "" && !p.Force && p.Enforce
 }
-
-// Policy returns the monitor's decision rule as a shareable value.
-func (m *Monitor) Policy() Policy {
-	return Policy{Threshold: m.threshold, Force: m.force, Enforce: m.enforce}
-}

@@ -155,57 +155,53 @@ func benchmarks() []benchmark {
 	}
 }
 
-// stampTasks is a minimal TaskStore for the monitor-level benchmarks:
-// one pid with a newest-wins interaction stamp.
-type stampTasks struct {
-	pid   int
-	stamp time.Time
-}
-
-func (t *stampTasks) InteractionStamp(pid int) (time.Time, bool) {
-	if pid != t.pid {
-		return time.Time{}, false
+// kernelMonitor boots a bare enforcing kernel with one process stamped
+// now and returns its monitor and the process's pid, so the monitor
+// benchmarks time the production decision path: the monitor reading
+// the kernel's sharded process table through InteractionView.
+func kernelMonitor(e env) (*monitor.Monitor, int, time.Time, error) {
+	clk := clock.NewSimulated()
+	k, err := kernel.New(clk, fs.New(clk), kernel.Config{
+		Monitor: monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg},
+	})
+	if err != nil {
+		return nil, 0, time.Time{}, err
 	}
-	return t.stamp, true
-}
-
-func (t *stampTasks) SetInteractionStamp(pid int, ts time.Time) error {
-	if pid == t.pid && ts.After(t.stamp) {
-		t.stamp = ts
+	proc, err := k.Spawn(kernel.SpawnSpec{Name: "multiview", Exe: "/usr/bin/multiview", Cred: fs.Cred{UID: 1000, GID: 1000}})
+	if err != nil {
+		return nil, 0, time.Time{}, err
 	}
-	return nil
+	now := clk.Now()
+	if err := k.Monitor().Notify(proc.PID(), now); err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	return k.Monitor(), proc.PID(), now, nil
 }
-
-func (t *stampTasks) PermissionsDisabled(int) bool { return false }
 
 // setupDecide measures the monitor decision path: a within-δ grant,
 // crossing the evaluate, audit and decide attach points.
 func setupDecide(e env) (func(int) error, error) {
-	clk := clock.NewSimulated()
-	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(clk, tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, pid, now, err := kernelMonitor(e)
 	if err != nil {
 		return nil, err
 	}
-	opTime := clk.Now().Add(time.Millisecond)
+	opTime := now.Add(time.Millisecond)
 	return func(int) error {
-		_ = m.Decide(7, monitor.OpMic, opTime)
+		_ = m.Decide(pid, monitor.OpMic, opTime)
 		return nil
 	}, nil
 }
 
 // setupNotify measures the interaction-notification path (stamp
-// write), crossing the monitor's audit attach point when alerts fire.
+// write).
 func setupNotify(e env) (func(int) error, error) {
-	clk := clock.NewSimulated()
-	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(clk, tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, pid, now, err := kernelMonitor(e)
 	if err != nil {
 		return nil, err
 	}
-	stamp := clk.Now().Add(time.Millisecond)
+	stamp := now.Add(time.Millisecond)
 	return func(int) error {
-		return m.Notify(7, stamp)
+		return m.Notify(pid, stamp)
 	}, nil
 }
 

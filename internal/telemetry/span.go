@@ -235,6 +235,10 @@ func (s *Span) AnnotateDecision(pid int64, op, verdict, reason string) {
 
 // End closes the span at the recorder's current instant. Ending twice
 // keeps the first end time.
+//
+// A span is dead after End: once it has ended, a later StartSpan on any
+// goroutine may recycle it, so the caller must not touch it again — take
+// its Context before End if the trace continues past it.
 func (s *Span) End() {
 	if s == nil {
 		return

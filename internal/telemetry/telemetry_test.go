@@ -276,10 +276,13 @@ func TestConcurrentUse(t *testing.T) {
 				r.Observe("m", "lat", "", time.Microsecond)
 				s := r.StartSpan(SpanContext{}, "m", "op")
 				s.Annotate("i", "x")
+				// The context is taken before End: an ended span may
+				// already be recycled by another goroutine's StartSpan.
+				ctx := s.Context()
 				s.End()
-				r.RecordEvent(s.Context(), "m", "k", "d")
+				r.RecordEvent(ctx, "m", "k", "d")
 				if i%50 == 0 {
-					r.TripFlight(s.Context(), "m", "trip")
+					r.TripFlight(ctx, "m", "trip")
 				}
 			}
 		}()
