@@ -62,10 +62,15 @@ BENCHFLAGS = -benchtime=2000x -count=5 -benchmem -run='^$$'
 # its own at 20 iterations. Its rows are alloc-gated only, and an
 # Open's allocation count does not depend on the iteration count.
 OPENBENCH = -bench='^BenchmarkStoreOpen$$' -benchtime=20x -count=5 -benchmem -run='^$$' ./internal/auditstore
+# Filling a fresh store with 10^5 records takes a few hundred ms, so
+# BenchmarkStoreFill is swept on its own at 5 iterations too; like the
+# Open rows it is alloc-gated only.
+FILLBENCH = -bench='^BenchmarkStoreFill$$' -benchtime=5x -count=5 -benchmem -run='^$$' ./internal/auditstore
 
 bench:
-	$(GO) test -bench=. -skip='^BenchmarkStoreOpen$$' $(BENCHFLAGS) ./... > bench.out
+	$(GO) test -bench=. -skip='^BenchmarkStore(Open|Fill)$$' $(BENCHFLAGS) ./... > bench.out
 	$(GO) test $(OPENBENCH) >> bench.out
+	$(GO) test $(FILLBENCH) >> bench.out
 	$(GO) test -bench='^BenchmarkParallel' -cpu=1,2,4 $(BENCHFLAGS) ./internal/kernel >> bench.out
 	@cat bench.out
 	$(GO) run ./cmd/overhaul-benchjson -in bench.out -out BENCH_overhaul.json
@@ -83,8 +88,9 @@ bench:
 # `skip-bench-gate` label and refreshes the baseline via `make bench`
 # in the same change.
 bench-compare:
-	$(GO) test -bench=. -skip='^BenchmarkStoreOpen$$' $(BENCHFLAGS) ./... > bench.out
+	$(GO) test -bench=. -skip='^BenchmarkStore(Open|Fill)$$' $(BENCHFLAGS) ./... > bench.out
 	$(GO) test $(OPENBENCH) >> bench.out
+	$(GO) test $(FILLBENCH) >> bench.out
 	$(GO) test -bench='^BenchmarkParallel' -cpu=1,2,4 $(BENCHFLAGS) ./internal/kernel >> bench.out
 	$(GO) run ./cmd/overhaul-benchjson -in bench.out -diff BENCH_overhaul.json
 	@rm -f bench.out

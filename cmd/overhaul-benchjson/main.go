@@ -336,15 +336,18 @@ type StoreSection struct {
 	MaxBatch      int               `json:"max_batch"`
 	BatchHist     map[string]uint64 `json:"batch_size_hist"`
 	DroppedAcks   uint64            `json:"dropped_acks"`
+	Compactions   uint64            `json:"compactions"`
+	WriteAmp      float64           `json:"write_amp"`
 }
 
 // validate checks an existing JSON file: either the legacy flat map of
 // benchmark entries, or the wrapped {"benchmarks": ..., "store": ...}
 // shape overhaul-load -store emits, whose throughput section carries
 // its own invariants — real throughput, a consistent batch histogram,
-// and zero dropped acknowledgements (a dropped ack means a decision
-// the fleet audited never became durable, which the group-commit ack
-// contract forbids outside injected faults).
+// zero dropped acknowledgements (a dropped ack means a decision the
+// fleet audited never became durable, which the group-commit ack
+// contract forbids outside injected faults), and a write amplification
+// of at least 1 that exceeds 1 only when compactions ran.
 func validate(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -405,6 +408,12 @@ func validateStore(path string, s *StoreSection) error {
 	}
 	if s.DroppedAcks != 0 {
 		return fmt.Errorf("%s: store reports %d dropped acks, want 0 (acknowledged records must be durable)", path, s.DroppedAcks)
+	}
+	if s.WriteAmp < 1 {
+		return fmt.Errorf("%s: store write_amp %v below 1 (every record is written at least once)", path, s.WriteAmp)
+	}
+	if s.WriteAmp > 1 && s.Compactions == 0 {
+		return fmt.Errorf("%s: store write_amp %v without compactions (only compaction rewrites records)", path, s.WriteAmp)
 	}
 	return nil
 }

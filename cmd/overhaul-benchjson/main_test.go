@@ -222,7 +222,8 @@ func TestValidateWrappedStoreReport(t *testing.T) {
 	}
 	bench := `"benchmarks": {"BenchmarkFleetLoad/metric=p50": {"ns_per_op": 1000, "allocs_per_op": 0}}`
 	good := `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
-		"batches": 10, "max_batch": 32, "batch_size_hist": {"1": 4, "le32": 6}, "dropped_acks": 0}}`
+		"batches": 10, "max_batch": 32, "batch_size_hist": {"1": 4, "le32": 6}, "dropped_acks": 0,
+		"compactions": 2, "write_amp": 1.5}}`
 	if err := validate(write(t, good)); err != nil {
 		t.Fatalf("valid wrapped report rejected: %v", err)
 	}
@@ -232,13 +233,17 @@ func TestValidateWrappedStoreReport(t *testing.T) {
 	}
 	bad := map[string]string{
 		"dropped acks": `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
-			"batches": 10, "batch_size_hist": {"le32": 10}, "dropped_acks": 3}}`,
+			"batches": 10, "batch_size_hist": {"le32": 10}, "dropped_acks": 3, "write_amp": 1}}`,
 		"hist mismatch": `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
-			"batches": 10, "batch_size_hist": {"le32": 7}, "dropped_acks": 0}}`,
+			"batches": 10, "batch_size_hist": {"le32": 7}, "dropped_acks": 0, "write_amp": 1}}`,
 		"no throughput": `{` + bench + `, "store": {"records_per_sec": 0, "records": 0,
-			"batches": 0, "batch_size_hist": {}, "dropped_acks": 0}}`,
+			"batches": 0, "batch_size_hist": {}, "dropped_acks": 0, "write_amp": 1}}`,
 		"zero batches": `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
-			"batches": 0, "batch_size_hist": {}, "dropped_acks": 0}}`,
+			"batches": 0, "batch_size_hist": {}, "dropped_acks": 0, "write_amp": 1}}`,
+		"write amp below 1": `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
+			"batches": 10, "batch_size_hist": {"le32": 10}, "dropped_acks": 0}}`,
+		"write amp without compactions": `{` + bench + `, "store": {"records_per_sec": 5000, "records": 100,
+			"batches": 10, "batch_size_hist": {"le32": 10}, "dropped_acks": 0, "compactions": 0, "write_amp": 1.2}}`,
 	}
 	for name, body := range bad {
 		if err := validate(write(t, body)); err == nil {

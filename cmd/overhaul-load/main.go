@@ -35,10 +35,10 @@
 // the leader linger as -flush-interval; -sink-batch sets how many
 // decisions a session buffers before handing the store one batch. The
 // report gains a throughput section (records/sec, batch-size
-// histogram, dropped-ack count) and the -json output becomes the
-// wrapped {"benchmarks": …, "store": …} shape, which
-// overhaul-benchjson -check also validates — including that
-// dropped_acks is zero.
+// histogram, dropped-ack count, compactions and write amplification)
+// and the -json output becomes the wrapped {"benchmarks": …,
+// "store": …} shape, which overhaul-benchjson -check also validates —
+// including that dropped_acks is zero.
 package main
 
 import (
@@ -153,6 +153,8 @@ type StoreSection struct {
 	MaxBatch      int               `json:"max_batch"`
 	BatchHist     map[string]uint64 `json:"batch_size_hist"`
 	DroppedAcks   uint64            `json:"dropped_acks"`
+	Compactions   uint64            `json:"compactions"`
+	WriteAmp      float64           `json:"write_amp"`
 }
 
 func (sr *storeReport) section() StoreSection {
@@ -168,6 +170,8 @@ func (sr *storeReport) section() StoreSection {
 		MaxBatch:    sr.stats.MaxBatch,
 		BatchHist:   hist,
 		DroppedAcks: sr.droppedAcks,
+		Compactions: sr.stats.Compactions,
+		WriteAmp:    sr.stats.WriteAmp(),
 	}
 	if sr.elapsed > 0 {
 		sec.RecordsPerSec = float64(sr.records) / sr.elapsed.Seconds()
@@ -398,6 +402,7 @@ func (r *report) print(w *os.File, mix string, sessions, workers int) {
 				fmt.Fprintf(w, " %s=%d", auditstore.BatchBucketLabel(i), n)
 			}
 		}
-		fmt.Fprintf(w, "\n  dropped acks: %d\n", sec.DroppedAcks)
+		fmt.Fprintf(w, "\n  compactions: %d (write amplification %.2f)\n", sec.Compactions, sec.WriteAmp)
+		fmt.Fprintf(w, "  dropped acks: %d\n", sec.DroppedAcks)
 	}
 }

@@ -292,8 +292,8 @@ func TestFileStoreRotationAndCompaction(t *testing.T) {
 	}
 	fillStore(t, st, 100)
 	sealed, active := st.SegmentCount()
-	if sealed >= 3 || active != 1 {
-		t.Fatalf("segments: sealed=%d active=%d, want compaction to keep sealed < 3", sealed, active)
+	if _, maxSealed := tierBounds(100, 8, 3); sealed > maxSealed || active != 1 {
+		t.Fatalf("segments: sealed=%d active=%d, want tiered compaction to keep sealed <= %d", sealed, active, maxSealed)
 	}
 	checkPrefix(t, st, 100)
 	if err := st.Close(); err != nil {
@@ -319,6 +319,50 @@ func TestFileStoreRotationAndCompaction(t *testing.T) {
 	checkPrefix(t, st2, 100)
 }
 
+// tierBounds returns the size-tiered compaction bounds for n records
+// at segment size s and fan-in f: levels = ⌈log_f(n/s)⌉ bounds how
+// often any record is rewritten, and (f−1)·(levels+1) how many
+// segments are sealed at once.
+func tierBounds(n, s, f int) (levels, maxSealed int) {
+	for span := s; span < n; span *= f {
+		levels++
+	}
+	return levels, (f - 1) * (levels + 1)
+}
+
+// TestCompactionWriteAmpBounded pins the write-amplification contract
+// of size-tiered compaction: over N appends every record is rewritten
+// at most ⌈log_F(N/S)⌉ times in total, and the sealed count never
+// exceeds (F−1)·(levels+1). A policy that merges every sealed
+// segment on each compaction rewrites 1,059,960 records in this run,
+// 30 times the bound.
+func TestCompactionWriteAmpBounded(t *testing.T) {
+	const s, f, n = 8, 3, 5832 // n = s·f^6
+	levels, maxSealed := tierBounds(n, s, f)
+	st, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: s, CompactSealed: f})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close() //overhaul:allow errdrop test cleanup
+	for i := 0; i < n; i++ {
+		if _, err := st.Append(mkRecord(i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if sealed, _ := st.SegmentCount(); sealed > maxSealed {
+			t.Fatalf("after %d appends %d segments are sealed, bound (F-1)(levels+1) = %d", i+1, sealed, maxSealed)
+		}
+	}
+	stats := st.BatchStats()
+	if bound := uint64(n * levels); stats.CompactedRecords > bound {
+		t.Fatalf("compaction rewrote %d records over %d appends, bound N·⌈log_F(N/S)⌉ = %d", stats.CompactedRecords, n, bound)
+	}
+	if stats.Compactions == 0 || stats.Records != n {
+		t.Fatalf("stats = %+v, want compactions over %d records", stats, n)
+	}
+	t.Logf("%d compactions rewrote %d records: write amplification %.2f", stats.Compactions, stats.CompactedRecords, stats.WriteAmp())
+	checkPrefix(t, st, n)
+}
+
 func TestFileStoreManualCompact(t *testing.T) {
 	dir := t.TempDir()
 	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4, CompactSealed: -1})
@@ -336,6 +380,9 @@ func TestFileStoreManualCompact(t *testing.T) {
 	}
 	if sealed, _ = st.SegmentCount(); sealed != 1 {
 		t.Fatalf("sealed = %d after compact, want 1", sealed)
+	}
+	if stats := st.BatchStats(); stats.Compactions != 1 || stats.CompactedRecords != 36 {
+		t.Fatalf("stats = %+v, want one compaction rewriting the 36 sealed records", stats)
 	}
 	checkPrefix(t, st, 40)
 }

@@ -25,9 +25,9 @@ import (
 // but its appenders all see the failure.
 
 // BatchStats aggregates what the group-commit leader did: how many
-// batches were committed, how many records they carried, and a
-// power-of-two histogram of batch sizes. Read it via
-// FileStore.BatchStats.
+// batches were committed, how many records they carried, a
+// power-of-two histogram of batch sizes, and what compaction rewrote.
+// Read it via FileStore.BatchStats.
 type BatchStats struct {
 	// Batches and Records count durable commits and the records they
 	// carried; MaxBatch is the largest single batch.
@@ -36,6 +36,20 @@ type BatchStats struct {
 	MaxBatch int
 	// SizeHist buckets batch sizes as 1, 2, ≤4, ≤8, …, ≤128, >128.
 	SizeHist [9]uint64
+	// Compactions counts segment merges, automatic and manual, and
+	// CompactedRecords the records they rewrote.
+	Compactions      uint64
+	CompactedRecords uint64
+}
+
+// WriteAmp is the store's record write amplification since Open: each
+// committed record is written once, plus once per compaction that
+// rewrote it. A store that has committed nothing reports 1.
+func (s BatchStats) WriteAmp() float64 {
+	if s.Records == 0 {
+		return 1
+	}
+	return 1 + float64(s.CompactedRecords)/float64(s.Records)
 }
 
 // BatchBucketLabel names SizeHist bucket i.

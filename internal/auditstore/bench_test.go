@@ -2,6 +2,8 @@ package auditstore_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -223,6 +225,37 @@ func BenchmarkStoreOpen(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "heapB/record")
 			st.Close() //overhaul:allow errdrop bench cleanup
+		})
+	}
+}
+
+// BenchmarkStoreFill measures filling a fresh default-options store
+// with n records through 256-record AppendBatch, compaction included,
+// and reports the amortized cost per record. Size-tiered compaction
+// rewrites each record O(log n) times, so that cost should stay within
+// 2× from 10^4 to 10^5 records.
+func BenchmarkStoreFill(b *testing.B) {
+	for _, n := range [...]int{10000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			root := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A collected heap and empty pools make allocs/op repeat
+				// exactly (see BenchmarkStoreOpen).
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				dir := filepath.Join(root, fmt.Sprint(i))
+				b.StartTimer()
+				writeHistory(b, dir, n)
+				b.StopTimer()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatalf("remove: %v", err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 		})
 	}
 }

@@ -11,11 +11,12 @@ import (
 // TestCrashRecoveryProperty is the crash-recovery property test: for
 // every faultinject crash window — torn append, crash mid-rotation at
 // either protocol window, crash mid-compaction at any of its four
-// windows — reopening the directory yields a byte-identical prefix of
-// the pre-crash stream. Acked records are never lost, unacked records
-// never appear, and any discarded bytes are reported, never silent.
-// The table is seeded and spans segment sizes so every window lands in
-// differently-shaped directories.
+// windows, both in a merge that spans every sealed segment and in one
+// of only the trailing tier run — reopening the directory yields a
+// byte-identical prefix of the pre-crash stream. Acked records are
+// never lost, unacked records never appear, and any discarded bytes
+// are reported, never silent. The table is seeded and spans segment
+// sizes so every window lands in differently-shaped directories.
 func TestCrashRecoveryProperty(t *testing.T) {
 	type faultSpec struct {
 		name string
@@ -37,6 +38,13 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{"compact-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 1, Count: 1}},
 		{"compact-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 2, Count: 1}},
 		{"compact-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
+		// The second compaction merges only the trailing run of three
+		// level-0 segments: the first compaction's output stays sealed
+		// before it, so the merge overlaps part of the sealed set.
+		{"compact-crash-partial-begin", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 4, Count: 1}},
+		{"compact-crash-partial-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 5, Count: 1}},
+		{"compact-crash-partial-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 6, Count: 1}},
+		{"compact-crash-partial-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 7, Count: 1}},
 	}
 	segSizes := []int{1, 3, 8, 32}
 	const total = 200

@@ -37,9 +37,17 @@ type Options struct {
 	// SegmentRecords rotates the active segment after this many
 	// records. Zero selects DefaultSegmentRecords.
 	SegmentRecords int
-	// CompactSealed compacts the sealed segments into one once their
-	// count reaches this threshold. Zero selects DefaultCompactSealed;
-	// negative disables automatic compaction.
+	// CompactSealed is F, the fan-in of size-tiered auto-compaction. A
+	// sealed segment of recs records sits at level
+	// ⌊log_F(recs/SegmentRecords)⌋. After each rotation, once the newest
+	// F sealed segments share a level, that trailing run is merged into
+	// one segment; the run extends backwards while its output would
+	// itself complete a run of F at the next level, so a cascade is one
+	// write. Over N records each record is rewritten at most
+	// ⌈log_F(N/SegmentRecords)⌉ times, and at most (F−1)·(levels+1)
+	// segments are sealed. Zero selects DefaultCompactSealed; one acts
+	// as two, the smallest merge; negative disables automatic
+	// compaction.
 	CompactSealed int
 	// BatchRecords caps how many queued appends one group commit may
 	// drain into a single segment write. Zero selects
@@ -109,9 +117,10 @@ type Recovery struct {
 
 // segmentInfo is one on-disk segment's bookkeeping.
 type segmentInfo struct {
-	id   uint64
-	path string
-	recs int
+	id    uint64
+	path  string
+	recs  int
+	bytes int // file size, which presizes a merge's output buffer
 }
 
 // FileStore is the durable backend: an append-only binary segment log
@@ -182,8 +191,11 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if opts.SegmentRecords < 0 {
 		return nil, fmt.Errorf("auditstore: negative segment size %d", opts.SegmentRecords)
 	}
-	if opts.CompactSealed == 0 {
+	switch opts.CompactSealed {
+	case 0:
 		opts.CompactSealed = DefaultCompactSealed
+	case 1:
+		opts.CompactSealed = 2
 	}
 	if opts.BatchRecords <= 0 {
 		opts.BatchRecords = DefaultBatchRecords
@@ -223,9 +235,19 @@ func (fs *FileStore) Recovery() Recovery {
 	return fs.recovery
 }
 
-// segPath renders the segment file path for a file id.
+// segPath renders the segment file path for a file id: the id in hex,
+// zero-padded to 8 digits. It formats without fmt, whose printer pool
+// a GC empties, so a fill's allocation count does not depend on where
+// its GC cycles fall.
 func (fs *FileStore) segPath(id uint64) string {
-	return filepath.Join(fs.dir, fmt.Sprintf("%s%08x%s", segPrefix, id, segSuffix))
+	var buf [32]byte
+	name := append(buf[:0], segPrefix...)
+	for shift := 28; shift > 0 && id>>shift == 0; shift -= 4 {
+		name = append(name, '0')
+	}
+	name = strconv.AppendUint(name, id, 16)
+	name = append(name, segSuffix...)
+	return filepath.Join(fs.dir, string(name))
 }
 
 // parseSegID extracts the file id from a segment file name.
@@ -354,7 +376,7 @@ func (fs *FileStore) recover() error {
 			fs.curOff = uint64(seg.size)
 			continue
 		}
-		fs.sealed = append(fs.sealed, segmentInfo{id: seg.id, path: seg.path, recs: seg.recs})
+		fs.sealed = append(fs.sealed, segmentInfo{id: seg.id, path: seg.path, recs: seg.recs, bytes: seg.size})
 	}
 	return nil
 }
@@ -459,10 +481,15 @@ func (fs *FileStore) normalize(old []replaySeg) error {
 		id := fs.nextID
 		fs.nextID++
 		path := fs.segPath(id)
-		if err := fs.writeSegment(path, 0, n); err != nil {
+		size := 0
+		for _, seg := range old {
+			size += seg.size
+		}
+		written, err := fs.writeSegment(path, 0, n, size)
+		if err != nil {
 			return fmt.Errorf("auditstore: normalize %s: %w", fs.dir, err)
 		}
-		fs.sealed = append(fs.sealed, segmentInfo{id: id, path: path, recs: n})
+		fs.sealed = append(fs.sealed, segmentInfo{id: id, path: path, recs: n, bytes: written})
 	}
 	for _, seg := range old {
 		if err := os.Remove(seg.path); err != nil {
@@ -474,24 +501,30 @@ func (fs *FileStore) normalize(old []replaySeg) error {
 }
 
 // encodeRange renders index records [from, to) as one complete sealed
-// v2 segment (header, frames, footer with block index) in memory.
-// Only the recovery and compaction paths use it; the append hot path
-// streams through the reusable group-commit buffers instead.
-func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	buf := append([]byte(nil), segMagicV2...)
+// v2 segment (header, frames, footer with block index) in memory,
+// under one read lock of the index and into a buffer presized to
+// sizeHint bytes, the summed size of the files it replaces. Only the
+// recovery and compaction paths use it; the append hot path streams
+// through the reusable group-commit buffers instead.
+func (fs *FileStore) encodeRange(from, to, sizeHint int) ([]byte, error) {
+	m := fs.mem
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if from < 0 || from > to || to > len(m.recs) {
+		return nil, fmt.Errorf("segment stage: records [%d, %d) outside the %d-record index", from, to, len(m.recs))
+	}
+	buf := append(make([]byte, 0, max(sizeHint, len(segMagicV2))), segMagicV2...)
 	var enc FrameEncoder
-	var entries []blockEntry
+	entries := make([]blockEntry, 0, (to-from+indexEvery-1)/indexEvery+1)
 	maxSoFar := int64(math.MinInt64)
 	lastSeq := uint64(0)
 	for i := from; i < to; i++ {
-		r, ok, err := fs.mem.Get(fs.mem.base + uint64(i))
-		if err != nil || !ok {
-			return nil, fmt.Errorf("segment stage: index record %d missing (%v)", i, err)
-		}
+		r := &m.recs[i]
 		if (i-from)%indexEvery == 0 {
 			entries = append(entries, blockEntry{seq: r.Seq, off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
-		if buf, err = enc.AppendRecord(buf, &r); err != nil {
+		var err error
+		if buf, err = enc.AppendRecord(buf, r); err != nil {
 			return nil, err
 		}
 		if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > maxSoFar {
@@ -504,31 +537,31 @@ func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
 }
 
 // writeSegment stages records [from, to) of the index into path via a
-// tmp file and an atomic rename.
-func (fs *FileStore) writeSegment(path string, from, to int) error {
-	buf, err := fs.encodeRange(from, to)
+// tmp file and an atomic rename, and returns the bytes written.
+func (fs *FileStore) writeSegment(path string, from, to, sizeHint int) (int, error) {
+	buf, err := fs.encodeRange(from, to, sizeHint)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close() //overhaul:allow errdrop best-effort close before reporting the write failure
-		return err
+		return 0, err
 	}
 	if fs.opts.Sync {
 		if err := f.Sync(); err != nil {
 			f.Close() //overhaul:allow errdrop best-effort close before reporting the sync failure
-			return err
+			return 0, err
 		}
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
-	return os.Rename(tmp, path)
+	return len(buf), os.Rename(tmp, path)
 }
 
 // failLocked marks the store broken. Every later operation repeats the
@@ -590,7 +623,8 @@ func (fs *FileStore) sealActive() error {
 	if err := fs.cur.Close(); err != nil {
 		return fmt.Errorf("seal close: %w", err)
 	}
-	fs.sealed = append(fs.sealed, segmentInfo{id: fs.curID, path: fs.segPath(fs.curID), recs: fs.curRecs})
+	fs.sealed = append(fs.sealed, segmentInfo{id: fs.curID, path: fs.segPath(fs.curID), recs: fs.curRecs,
+		bytes: int(fs.curOff) + len(fs.wbuf)})
 	fs.cur, fs.curRecs = nil, 0
 	fs.curIdx = fs.curIdx[:0]
 	return nil
@@ -598,8 +632,8 @@ func (fs *FileStore) sealActive() error {
 
 // rotateSeg seals the active segment and opens a fresh one, evaluating
 // the crash fault point at each protocol window (before and after the
-// seal), then triggers compaction when enough sealed segments
-// accumulated. Leader-owned.
+// seal), then merges the trailing tier run when one is due. The merge
+// output takes the file id after the new active segment. Leader-owned.
 func (fs *FileStore) rotateSeg() error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreRotate); f.Injected() {
 		return fmt.Errorf("rotate (pre-seal): %w", f.Err)
@@ -613,15 +647,70 @@ func (fs *FileStore) rotateSeg() error {
 	if err := fs.openActive(); err != nil {
 		return err
 	}
-	if fs.opts.CompactSealed > 0 && len(fs.sealed) >= fs.opts.CompactSealed {
-		return fs.compactSeg()
+	if fs.opts.CompactSealed > 0 {
+		if from := fs.tierRun(); from >= 0 {
+			return fs.compactSeg(from)
+		}
 	}
 	return nil
+}
+
+// tierLevel is the size tier of a sealed segment of recs records,
+// ⌊log_F(recs/SegmentRecords)⌋ for fan-in F, and 0 below one
+// segment's worth.
+func (fs *FileStore) tierLevel(recs int) int {
+	level := 0
+	for q := recs / fs.opts.SegmentRecords; q >= fs.opts.CompactSealed; q /= fs.opts.CompactSealed {
+		level++
+	}
+	return level
+}
+
+// tierRun returns the index in fs.sealed where the run that size-tiered
+// compaction merges now begins, or -1 when no merge is due. A merge is
+// due once at least F trailing segments share a level. The run grows
+// backwards over the segments just before it while its output's level
+// is theirs and, with them, it would make a run of F again: the merge
+// that run would trigger next is folded into this one write. Each
+// merge raises every record it rewrites by at least one level.
+// Leader-owned.
+func (fs *FileStore) tierRun() int {
+	fanIn := fs.opts.CompactSealed
+	from := fs.sameLevelFrom(len(fs.sealed), fs.tierLevel(fs.sealed[len(fs.sealed)-1].recs))
+	if len(fs.sealed)-from < fanIn {
+		return -1
+	}
+	recs := 0
+	for _, s := range fs.sealed[from:] {
+		recs += s.recs
+	}
+	for {
+		prev := fs.sameLevelFrom(from, fs.tierLevel(recs))
+		if from-prev+1 < fanIn {
+			return from
+		}
+		for _, s := range fs.sealed[prev:from] {
+			recs += s.recs
+		}
+		from = prev
+	}
+}
+
+// sameLevelFrom returns the start of the run of sealed segments ending
+// just before index end whose level is level.
+func (fs *FileStore) sameLevelFrom(end, level int) int {
+	for end > 0 && fs.tierLevel(fs.sealed[end-1].recs) == level {
+		end--
+	}
+	return end
 }
 
 // Compact merges every sealed segment into one. The active segment is
 // left alone. Compaction never drops records — the audit trail is the
 // product — it only reduces file count and normalizes ordering.
+// Automatic compaction merges only the trailing tier run instead (see
+// Options.CompactSealed); both write their one output under a fresh,
+// higher file id.
 func (fs *FileStore) Compact() error {
 	fs.mu.Lock()
 	for fs.committing {
@@ -638,7 +727,7 @@ func (fs *FileStore) Compact() error {
 	fs.committing = true
 	fs.mu.Unlock()
 
-	err := fs.compactSeg()
+	err := fs.compactSeg(0)
 
 	fs.mu.Lock()
 	if err != nil && fs.failed == nil {
@@ -652,25 +741,32 @@ func (fs *FileStore) Compact() error {
 	return err
 }
 
-// compactSeg merges the sealed segments into a fresh, higher file id
-// via stage → fsync → rename → cleanup, evaluating the crash fault
-// point at each window. Every window leaves a recoverable directory:
-// a torn or unrenamed tmp is discarded on open, and a rename without
-// cleanup leaves duplicates that recovery deduplicates by sequence.
-// Leader-owned.
-func (fs *FileStore) compactSeg() error {
+// compactSeg merges the sealed segments from index from onward into a
+// fresh, higher file id via stage → fsync → rename → cleanup,
+// evaluating the crash fault point at each window. Every window leaves
+// a recoverable directory: a torn or unrenamed tmp is discarded on
+// open, and a rename without cleanup leaves duplicates that recovery
+// deduplicates by sequence, also when the output overlaps only the
+// tail of the sealed set. Leader-owned.
+func (fs *FileStore) compactSeg(from int) error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); f.Injected() {
 		return fmt.Errorf("compact (begin): %w", f.Err)
 	}
-	total := 0
-	for _, s := range fs.sealed {
+	// Sealed segments tile the index in order, so the run's records
+	// start where the segments before it end.
+	start, total, size := 0, 0, 0
+	for _, s := range fs.sealed[:from] {
+		start += s.recs
+	}
+	for _, s := range fs.sealed[from:] {
 		total += s.recs
+		size += s.bytes
 	}
 	id := fs.nextID
 	path := fs.segPath(id)
 	tmp := path + tmpSuffix
 
-	buf, err := fs.encodeRange(0, total)
+	buf, err := fs.encodeRange(start, start+total, size)
 	if err != nil {
 		return fmt.Errorf("compact stage: %w", err)
 	}
@@ -711,12 +807,16 @@ func (fs *FileStore) compactSeg() error {
 	if fl := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); fl.Injected() {
 		return fmt.Errorf("compact (pre-cleanup): %w", fl.Err)
 	}
-	for _, s := range fs.sealed {
+	for _, s := range fs.sealed[from:] {
 		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("compact cleanup: %w", err)
 		}
 	}
-	fs.sealed = []segmentInfo{{id: id, path: path, recs: total}}
+	fs.sealed = append(fs.sealed[:from], segmentInfo{id: id, path: path, recs: total, bytes: len(buf)})
+	fs.mu.Lock()
+	fs.stats.Compactions++
+	fs.stats.CompactedRecords += uint64(total)
+	fs.mu.Unlock()
 	return nil
 }
 
